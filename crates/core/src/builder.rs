@@ -136,15 +136,18 @@ enum EngineChoice {
 /// `SUPERSIM_SHARDS` environment variables supply defaults when the
 /// configuration does not say — explicit configuration always wins, so a
 /// config that pins an engine stays pinned under a CI job that exports
-/// the sharded default.
+/// the sharded default. An explicit `engine.shards` above 1 on an engine
+/// that resolves to `"sequential"` is a [`BuildError::Conflict`]; the
+/// `SUPERSIM_SHARDS` default never is.
 fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
     let kind = match cfg.req_str("engine.kind") {
         Ok(s) => s.to_string(),
         Err(_) => std::env::var("SUPERSIM_ENGINE").unwrap_or_else(|_| "sequential".into()),
     };
-    let shards = match cfg.req_u64("engine.shards") {
-        Ok(n) => n,
-        Err(_) => match std::env::var("SUPERSIM_SHARDS") {
+    let explicit_shards = cfg.req_u64("engine.shards").ok();
+    let shards = match explicit_shards {
+        Some(n) => n,
+        None => match std::env::var("SUPERSIM_SHARDS") {
             Ok(s) => s.parse().map_err(|_| {
                 BuildError::invalid(format!("SUPERSIM_SHARDS must be an integer, got {s:?}"))
             })?,
@@ -170,6 +173,17 @@ fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
                 return Err(BuildError::invalid(
                     "engine.transport \"process\" requires engine.kind \"sharded\"",
                 ));
+            }
+            // No silent fallback: an explicit shard count the sequential
+            // engine would ignore is an error, not a one-shard run.
+            if let Some(n) = explicit_shards.filter(|&n| n > 1) {
+                return Err(BuildError::Conflict {
+                    keys: ["engine.shards", "engine.kind"],
+                    reason: format!(
+                        "{n} shards need engine.kind \"sharded\" (--engine sharded); \
+                         the sequential engine runs one shard"
+                    ),
+                });
             }
             Ok(EngineChoice::Sequential)
         }
@@ -554,9 +568,12 @@ pub(crate) fn build_with(
             config: router_cfg,
             link_period,
             fault: fault.clone(),
-            sampler: (sample_interval > 0).then_some(sample_capacity),
         };
-        let id = sim.add_component(factories.routers.build(arch, ctx)?);
+        let mut router = factories.routers.build(arch, ctx)?;
+        if sample_interval > 0 {
+            router.core_mut().sampler = Some(ComponentSampler::new(sample_capacity));
+        }
+        let id = sim.add_component(Box::new(router));
         debug_assert_eq!(id, router_cid(r)?);
         router_ids.push(id);
     }

@@ -36,8 +36,10 @@ use supersim_des::Tick;
 /// File magic: the first four bytes of every checkpoint.
 pub const MAGIC: [u8; 4] = *b"SSCP";
 
-/// Current format version.
-pub const VERSION: u64 = 1;
+/// Current format version. Version 2 lays every router out as the
+/// shared core sections around its pipeline's own state; a version-1
+/// file is rejected with [`CheckpointError::Version`].
+pub const VERSION: u64 = 2;
 
 /// The decoded checkpoint header (everything before the engine blob).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -426,6 +428,18 @@ mod tests {
         };
         let image = encode(&h, &blob());
         assert!(matches!(decode(&image), Err(CheckpointError::Version(_))));
+    }
+
+    /// Version-1 files predate the shared router layout; their state
+    /// blobs would misparse, so the header check must turn them away.
+    #[test]
+    fn version_1_router_layout_rejected() {
+        let h = CheckpointHeader {
+            version: 1,
+            ..header()
+        };
+        let image = encode(&h, &blob());
+        assert!(matches!(decode(&image), Err(CheckpointError::Version(1))));
     }
 
     #[test]

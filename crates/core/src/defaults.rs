@@ -3,13 +3,8 @@
 use std::sync::Arc;
 
 use supersim_config::Value;
-use supersim_des::{Component, Tick};
-use supersim_netbase::Ev;
-use supersim_router::{
-    CongestionGranularity, CongestionSource, FlowControl, IoqConfig, IoqRouter, IqConfig, IqRouter,
-    OqConfig, OqRouter, SensorConfig,
-};
-use supersim_stats::ComponentSampler;
+
+use supersim_router::{FlowControl, IoqConfig, IqConfig, OqConfig};
 use supersim_topology::{
     AdaptiveTorusRouting, DimOrderRouting, Dragonfly, DragonflyMode, DragonflyRouting, FoldedClos,
     HyperX, HyperXMode, HyperXRouting, RoutingAlgorithm, Torus, UpDownMode, UpDownRouting,
@@ -175,38 +170,6 @@ fn register_networks(f: &mut Factories) {
     });
 }
 
-fn sensor_config(cfg: &Value) -> Result<SensorConfig, BuildError> {
-    let source_name = cfg.opt_str("congestion_sensor.source", "downstream")?;
-    let source =
-        CongestionSource::from_name(source_name).ok_or_else(|| BuildError::UnknownModel {
-            registry: "congestion source",
-            name: source_name.to_string(),
-        })?;
-    let gran_name = cfg.opt_str("congestion_sensor.granularity", "vc")?;
-    let granularity =
-        CongestionGranularity::from_name(gran_name).ok_or_else(|| BuildError::UnknownModel {
-            registry: "congestion granularity",
-            name: gran_name.to_string(),
-        })?;
-    let delay = cfg.opt_u64("congestion_sensor.delay", 0)?;
-    Ok(SensorConfig {
-        source,
-        granularity,
-        delay,
-    })
-}
-
-fn core_period(cfg: &Value, link_period: Tick) -> Result<Tick, BuildError> {
-    let speedup = cfg.opt_u64("speedup", 1)?;
-    if speedup == 0 || !link_period.is_multiple_of(speedup) {
-        return Err(BuildError::invalid(format!(
-            "frequency speedup {speedup} must evenly divide the link period {link_period} \
-             (pick a finer tick)"
-        )));
-    }
-    Ok(link_period / speedup)
-}
-
 fn flow_control_of(cfg: &Value) -> Result<FlowControl, BuildError> {
     let name = cfg.opt_str("flow_control", "flit_buffer")?;
     FlowControl::from_name(name).ok_or_else(|| BuildError::UnknownModel {
@@ -223,60 +186,36 @@ fn register_routers(f: &mut Factories) {
             Some(v) if v.as_str() == Some("infinite") => None,
             Some(_) => Some(cfg.req_u64("output_queue")? as u32),
         };
-        let mut router = OqRouter::new(OqConfig {
-            id: ctx.id,
-            ports: ctx.ports,
-            input_buffer: cfg.req_u64("input_buffer")? as u32,
+        Ok(OqConfig {
+            core: ctx.core_config()?,
             output_queue,
             core_latency: cfg.opt_u64("core_latency", 1)?,
-            core_period: core_period(cfg, ctx.link_period)?,
-            link_period: ctx.link_period,
-            sensor: sensor_config(cfg)?,
-            routing: ctx.routing,
-            fault: ctx.fault.clone(),
-        })?;
-        router.sampler = ctx.sampler.map(ComponentSampler::new);
-        Ok(Box::new(router) as Box<dyn Component<Ev>>)
+        }
+        .build()?)
     });
 
     f.routers.register("input_queued", |ctx: RouterCtx<'_>| {
         let cfg = ctx.config;
-        let mut router = IqRouter::new(IqConfig {
-            id: ctx.id,
-            ports: ctx.ports,
-            input_buffer: cfg.req_u64("input_buffer")? as u32,
-            core_period: core_period(cfg, ctx.link_period)?,
-            link_period: ctx.link_period,
+        Ok(IqConfig {
+            core: ctx.core_config()?,
             xbar_latency: cfg.opt_u64("xbar_latency", 1)?,
             flow_control: flow_control_of(cfg)?,
             arbiter: cfg.opt_str("arbiter", "round_robin")?.to_string(),
-            sensor: sensor_config(cfg)?,
-            routing: ctx.routing,
-            fault: ctx.fault.clone(),
-        })?;
-        router.sampler = ctx.sampler.map(ComponentSampler::new);
-        Ok(Box::new(router) as Box<dyn Component<Ev>>)
+        }
+        .build()?)
     });
 
     f.routers
         .register("input_output_queued", |ctx: RouterCtx<'_>| {
             let cfg = ctx.config;
-            let mut router = IoqRouter::new(IoqConfig {
-                id: ctx.id,
-                ports: ctx.ports,
-                input_buffer: cfg.req_u64("input_buffer")? as u32,
+            Ok(IoqConfig {
+                core: ctx.core_config()?,
                 output_queue: cfg.req_u64("output_queue")? as u32,
-                core_period: core_period(cfg, ctx.link_period)?,
-                link_period: ctx.link_period,
                 xbar_latency: cfg.opt_u64("xbar_latency", 1)?,
                 flow_control: flow_control_of(cfg)?,
                 arbiter: cfg.opt_str("arbiter", "round_robin")?.to_string(),
-                sensor: sensor_config(cfg)?,
-                routing: ctx.routing,
-                fault: ctx.fault.clone(),
-            })?;
-            router.sampler = ctx.sampler.map(ComponentSampler::new);
-            Ok(Box::new(router) as Box<dyn Component<Ev>>)
+            }
+            .build()?)
         });
 }
 

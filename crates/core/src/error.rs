@@ -23,6 +23,13 @@ pub enum BuildError {
         /// The requested model name.
         name: String,
     },
+    /// Two configuration keys contradict each other.
+    Conflict {
+        /// The keys involved.
+        keys: [&'static str; 2],
+        /// Why they cannot both hold.
+        reason: String,
+    },
     /// Anything else (e.g. inconsistent cross-component parameters).
     Invalid(String),
 }
@@ -42,6 +49,12 @@ impl fmt::Display for BuildError {
             BuildError::Router(e) => write!(f, "{e}"),
             BuildError::UnknownModel { registry, name } => {
                 write!(f, "no {registry} model named {name:?} is registered")
+            }
+            BuildError::Conflict {
+                keys: [a, b],
+                reason,
+            } => {
+                write!(f, "conflicting configuration keys {a} and {b}: {reason}")
             }
             BuildError::Invalid(msg) => write!(f, "invalid simulation: {msg}"),
         }

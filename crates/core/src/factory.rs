@@ -26,9 +26,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use supersim_config::Value;
-use supersim_des::{Component, Tick};
-use supersim_netbase::{Ev, FaultPlane, Port, RouterId};
-use supersim_router::{RouterPorts, RoutingFactory};
+use supersim_des::Tick;
+use supersim_netbase::{FaultPlane, Port, RouterId};
+use supersim_router::{
+    CongestionGranularity, CongestionSource, CoreConfig, Router, RouterPorts, RoutingFactory,
+    SensorConfig,
+};
 use supersim_topology::{RoutingAlgorithm, Topology};
 use supersim_workload::{Application, TrafficPattern};
 
@@ -138,9 +141,63 @@ pub struct RouterCtx<'a> {
     pub link_period: Tick,
     /// Shared fault plane; `None` disables fault injection entirely.
     pub fault: Option<Arc<FaultPlane>>,
-    /// Window ring capacity when the sampling plane is armed; `None`
-    /// disables sampling (constructors leave the router's sampler unset).
-    pub sampler: Option<usize>,
+}
+
+impl RouterCtx<'_> {
+    /// The configuration every router architecture shares, read from the
+    /// `network.router` block: `input_buffer`, `speedup` (core clock
+    /// multiple of the link rate), and `congestion_sensor.*`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BuildError`] on a missing input buffer depth, a
+    /// speedup that does not divide the link period, or an unknown
+    /// sensor model.
+    pub fn core_config(self) -> Result<CoreConfig, BuildError> {
+        let cfg = self.config;
+        Ok(CoreConfig {
+            id: self.id,
+            ports: self.ports,
+            input_buffer: cfg.req_u64("input_buffer")? as u32,
+            core_period: core_period(cfg, self.link_period)?,
+            link_period: self.link_period,
+            sensor: sensor_config(cfg)?,
+            routing: self.routing,
+            fault: self.fault,
+        })
+    }
+}
+
+fn sensor_config(cfg: &Value) -> Result<SensorConfig, BuildError> {
+    let source_name = cfg.opt_str("congestion_sensor.source", "downstream")?;
+    let source =
+        CongestionSource::from_name(source_name).ok_or_else(|| BuildError::UnknownModel {
+            registry: "congestion source",
+            name: source_name.to_string(),
+        })?;
+    let gran_name = cfg.opt_str("congestion_sensor.granularity", "vc")?;
+    let granularity =
+        CongestionGranularity::from_name(gran_name).ok_or_else(|| BuildError::UnknownModel {
+            registry: "congestion granularity",
+            name: gran_name.to_string(),
+        })?;
+    let delay = cfg.opt_u64("congestion_sensor.delay", 0)?;
+    Ok(SensorConfig {
+        source,
+        granularity,
+        delay,
+    })
+}
+
+fn core_period(cfg: &Value, link_period: Tick) -> Result<Tick, BuildError> {
+    let speedup = cfg.opt_u64("speedup", 1)?;
+    if speedup == 0 || !link_period.is_multiple_of(speedup) {
+        return Err(BuildError::invalid(format!(
+            "frequency speedup {speedup} must evenly divide the link period {link_period} \
+             (pick a finer tick)"
+        )));
+    }
+    Ok(link_period / speedup)
 }
 
 /// Everything an application constructor receives besides its own block.
@@ -159,8 +216,7 @@ pub struct AppCtx<'a> {
     pub patterns: &'a PatternRegistry,
 }
 
-type RouterCtor =
-    Box<dyn Fn(RouterCtx<'_>) -> Result<Box<dyn Component<Ev>>, BuildError> + Send + Sync>;
+type RouterCtor = Box<dyn Fn(RouterCtx<'_>) -> Result<Router, BuildError> + Send + Sync>;
 type AppCtor = Box<
     dyn for<'a> Fn(&Value, AppCtx<'a>) -> Result<Box<dyn Application>, BuildError> + Send + Sync,
 >;
@@ -219,14 +275,14 @@ pub struct RouterRegistry {
 }
 
 impl RouterRegistry {
-    /// Registers (or replaces) a router-architecture constructor.
+    /// Registers (or replaces) a router-architecture constructor. Every
+    /// architecture is a [`Router`] — the shared core plus its pipeline —
+    /// so a custom one reports the same metrics, time series, and
+    /// checkpoints as a built-in one.
     pub fn register(
         &mut self,
         name: impl Into<String>,
-        ctor: impl Fn(RouterCtx<'_>) -> Result<Box<dyn Component<Ev>>, BuildError>
-            + Send
-            + Sync
-            + 'static,
+        ctor: impl Fn(RouterCtx<'_>) -> Result<Router, BuildError> + Send + Sync + 'static,
     ) {
         self.entries.insert(name.into(), Box::new(ctor));
     }
@@ -241,11 +297,7 @@ impl RouterRegistry {
     /// # Errors
     ///
     /// Returns [`BuildError::UnknownModel`] for unregistered names.
-    pub fn build(
-        &self,
-        name: &str,
-        ctx: RouterCtx<'_>,
-    ) -> Result<Box<dyn Component<Ev>>, BuildError> {
+    pub fn build(&self, name: &str, ctx: RouterCtx<'_>) -> Result<Router, BuildError> {
         let ctor = self
             .entries
             .get(name)

@@ -16,12 +16,9 @@
 
 use supersim_des::{ComponentId, Engine, Tick};
 use supersim_netbase::{Ev, FaultCounters, Phase};
-use supersim_router::{IoqRouter, IqRouter, OqRouter, RouterCounters, RouterMetrics};
-use supersim_stats::metrics::HIST_BUCKETS;
-use supersim_stats::{
-    intern_series, ComponentSampler, Histogram, RecordKind, SampleLog, SampleRecord,
-    WindowAggregate, WindowSample,
-};
+use supersim_router::Router;
+use supersim_stats::snapshot::{get_hist, get_log, get_sampler, put_hist, put_log, put_sampler};
+use supersim_stats::{ComponentSampler, Histogram, SampleLog};
 use supersim_workload::{Interface, InterfaceCounters, SpanMetrics, SpanRecord, WorkloadMonitor};
 
 /// Everything the report assembly reads from one interface component.
@@ -43,19 +40,16 @@ pub(crate) struct InterfacePartial {
 }
 
 /// Everything the report assembly reads from one router component.
-/// Custom (non-built-in) router architectures report `None` throughout,
-/// exactly as the downcast-based accessors did.
 #[derive(Debug, Clone)]
 pub(crate) struct RouterPartial {
     /// `(grants, denials, credit_stalls, per-port occupancy gauges)`.
-    #[allow(clippy::type_complexity)]
-    pub metrics: Option<(u64, u64, u64, Vec<(u64, u64)>)>,
+    pub metrics: (u64, u64, u64, Vec<(u64, u64)>),
     /// `(cycles, flits_advanced, arena live, arena high-water)`.
-    pub profile: Option<(u64, u64, u32, u32)>,
+    pub profile: (u64, u64, u32, u32),
     pub fault: Option<(FaultCounters, u64)>,
     pub sampler: Option<ComponentSampler>,
     /// `(buffered flits, per-(port, vc) credit (available, capacity))`.
-    pub occupancy: Option<(u64, Vec<(u32, u32)>)>,
+    pub occupancy: (u64, Vec<(u32, u32)>),
 }
 
 /// One shard's contribution to the run report: its owned interfaces and
@@ -101,28 +95,30 @@ pub(crate) fn extract_partial(
         ));
     }
     for (r, &id) in routers.iter().enumerate() {
-        // A worker that owns none of this router's planes contributes
-        // nothing; an owned custom router contributes an all-None entry,
-        // matching the downcast misses of the in-process path.
-        if engine.component(id).is_none() {
+        let Some(router) = engine.component_as::<Router>(id) else {
             continue;
-        }
+        };
+        let core = router.core();
+        let m = &core.metrics;
+        let (live, high) = core.arena_stats();
         partial.routers.push((
             r as u32,
             RouterPartial {
-                metrics: router_metrics(engine, id).map(|m| {
-                    (
-                        m.grants.get(),
-                        m.denials.get(),
-                        m.credit_stalls.get(),
-                        m.occupancy().iter().map(|g| (g.get(), g.max())).collect(),
-                    )
-                }),
-                profile: router_profile(engine, id)
-                    .map(|(c, (live, high))| (c.cycles, c.flits_advanced, live, high)),
-                fault: router_faults(engine, id),
-                sampler: router_sampler(engine, id).cloned(),
-                occupancy: router_occupancy(engine, id),
+                metrics: (
+                    m.grants.get(),
+                    m.denials.get(),
+                    m.credit_stalls.get(),
+                    m.occupancy().iter().map(|g| (g.get(), g.max())).collect(),
+                ),
+                profile: (
+                    core.counters.cycles,
+                    core.counters.flits_advanced,
+                    live,
+                    high,
+                ),
+                fault: core.fault.as_ref().map(|f| (f.counters, f.held_flits())),
+                sampler: core.sampler.clone(),
+                occupancy: (router.buffered_flits(), core.credit_state()),
             },
         ));
     }
@@ -132,94 +128,16 @@ pub(crate) fn extract_partial(
     partial
 }
 
-/// The metrics of a built-in router architecture, found by downcast.
-/// Custom router components report no router-plane metrics.
-fn router_metrics(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<&RouterMetrics> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return Some(&r.metrics);
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return Some(&r.metrics);
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return Some(&r.metrics);
-    }
-    None
-}
-
-/// Hot-path profiling data of a built-in router architecture, found by
-/// downcast: its operation counters and flit-arena `(live, high_water)`
-/// occupancy.
-fn router_profile(
-    engine: &dyn Engine<Ev>,
-    id: ComponentId,
-) -> Option<(RouterCounters, (u32, u32))> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return Some((r.counters, r.arena_stats()));
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return Some((r.counters, r.arena_stats()));
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return Some((r.counters, r.arena_stats()));
-    }
-    None
-}
-
-/// The fault state of a built-in router architecture, found by downcast.
-fn router_faults(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<(FaultCounters, u64)> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return r.fault.as_ref().map(|f| (f.counters, f.held_flits()));
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return r.fault.as_ref().map(|f| (f.counters, f.held_flits()));
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return r.fault.as_ref().map(|f| (f.counters, f.held_flits()));
-    }
-    None
-}
-
-/// The window-sampler ring of a built-in router architecture, found by
-/// downcast. Custom router components contribute no `router.*` series.
-fn router_sampler(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<&ComponentSampler> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return r.sampler.as_ref();
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return r.sampler.as_ref();
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return r.sampler.as_ref();
-    }
-    None
-}
-
-/// Buffer occupancy and per-`(port, vc)` credit state of a built-in
-/// router architecture, found by downcast.
-fn router_occupancy(engine: &dyn Engine<Ev>, id: ComponentId) -> Option<(u64, Vec<(u32, u32)>)> {
-    if let Some(r) = engine.component_as::<IqRouter>(id) {
-        return Some((r.buffered_flits(), r.credit_state()));
-    }
-    if let Some(r) = engine.component_as::<OqRouter>(id) {
-        return Some((r.buffered_flits(), r.credit_state()));
-    }
-    if let Some(r) = engine.component_as::<IoqRouter>(id) {
-        return Some((r.buffered_flits(), r.credit_state()));
-    }
-    None
-}
-
 // ---------------------------------------------------------------------
 // Wire codec
 // ---------------------------------------------------------------------
 //
 // Ad-hoc positional encoding over the engine's varint/byte primitives.
-// The orphan rule keeps `WireCodec` impls for stats/workload types out
-// of this crate, so the helpers below are plain functions; `ShardPartial`
+// Histograms, sampler rings, and sample logs use the stats crate's
+// checkpoint codec; the helpers below cover the rest. `ShardPartial`
 // itself gets inherent encode/decode used by the process backend.
 
-use supersim_des::wire::{get_str, get_u8, get_varint, put_str, put_varint};
+use supersim_des::wire::{get_u8, get_varint, put_varint};
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     put_varint(out, u64::from(v));
@@ -247,24 +165,6 @@ fn get_opt<T>(buf: &mut &[u8], get: impl Fn(&mut &[u8]) -> Option<T>) -> Option<
     }
 }
 
-fn put_hist(out: &mut Vec<u8>, h: &Histogram) {
-    put_varint(out, h.count());
-    put_varint(out, h.sum());
-    for &b in h.buckets() {
-        put_varint(out, b);
-    }
-}
-
-fn get_hist(buf: &mut &[u8]) -> Option<Histogram> {
-    let count = get_varint(buf)?;
-    let sum = get_varint(buf)?;
-    let mut buckets = [0u64; HIST_BUCKETS];
-    for b in &mut buckets {
-        *b = get_varint(buf)?;
-    }
-    Some(Histogram::from_log2_counts(&buckets, count, sum))
-}
-
 fn put_fault(out: &mut Vec<u8>, (c, held): &(FaultCounters, u64)) {
     put_varint(out, c.injected);
     put_varint(out, c.detected);
@@ -285,94 +185,6 @@ fn get_fault(buf: &mut &[u8]) -> Option<(FaultCounters, u64)> {
         },
         get_varint(buf)?,
     ))
-}
-
-fn put_sampler(out: &mut Vec<u8>, s: &ComponentSampler) {
-    put_varint(out, s.capacity() as u64);
-    put_varint(out, s.evicted());
-    put_varint(out, s.len() as u64);
-    for w in s.windows() {
-        put_varint(out, w.edge);
-        put_varint(out, w.scalars.len() as u64);
-        for (name, v) in &w.scalars {
-            put_str(out, name);
-            put_varint(out, *v);
-        }
-        put_varint(out, w.dists.len() as u64);
-        for (name, agg) in &w.dists {
-            put_str(out, name);
-            put_hist(out, agg.hist());
-            put_varint(out, agg.max().unwrap_or(0));
-        }
-    }
-}
-
-fn get_sampler(buf: &mut &[u8]) -> Option<ComponentSampler> {
-    let capacity = usize::try_from(get_varint(buf)?).ok()?;
-    let evicted = get_varint(buf)?;
-    let n = get_varint(buf)?;
-    if capacity == 0 || n as usize > capacity {
-        return None;
-    }
-    let mut windows = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let edge = get_varint(buf)?;
-        let n_scalars = get_varint(buf)?;
-        let mut scalars = Vec::with_capacity(n_scalars.min(1024) as usize);
-        for _ in 0..n_scalars {
-            let name = intern_series(&get_str(buf)?);
-            scalars.push((name, get_varint(buf)?));
-        }
-        let n_dists = get_varint(buf)?;
-        let mut dists = Vec::with_capacity(n_dists.min(1024) as usize);
-        for _ in 0..n_dists {
-            let name = intern_series(&get_str(buf)?);
-            let hist = get_hist(buf)?;
-            let max = get_varint(buf)?;
-            dists.push((name, WindowAggregate::from_parts(hist, max)));
-        }
-        windows.push(WindowSample {
-            edge,
-            scalars,
-            dists,
-        });
-    }
-    Some(ComponentSampler::from_parts(capacity, windows, evicted))
-}
-
-fn put_record(out: &mut Vec<u8>, r: &SampleRecord) {
-    let kind = match r.kind {
-        RecordKind::Packet => 0u8,
-        RecordKind::Message => 1,
-        RecordKind::Transaction => 2,
-    };
-    out.push(kind);
-    out.push(r.app);
-    put_u32(out, r.src);
-    put_u32(out, r.dst);
-    put_varint(out, r.send);
-    put_varint(out, r.recv);
-    put_varint(out, u64::from(r.hops));
-    put_u32(out, r.size);
-}
-
-fn get_record(buf: &mut &[u8]) -> Option<SampleRecord> {
-    let kind = match get_u8(buf)? {
-        0 => RecordKind::Packet,
-        1 => RecordKind::Message,
-        2 => RecordKind::Transaction,
-        _ => return None,
-    };
-    Some(SampleRecord {
-        kind,
-        app: get_u8(buf)?,
-        src: get_u32(buf)?,
-        dst: get_u32(buf)?,
-        send: get_varint(buf)?,
-        recv: get_varint(buf)?,
-        hops: u16::try_from(get_varint(buf)?).ok()?,
-        size: get_u32(buf)?,
-    })
 }
 
 fn put_span_record(out: &mut Vec<u8>, r: &SpanRecord) {
@@ -415,10 +227,7 @@ fn get_span_record(buf: &mut &[u8]) -> Option<SpanRecord> {
 fn put_iface(out: &mut Vec<u8>, p: &InterfacePartial) {
     put_opt(out, &p.flits_generating, |o, v| put_varint(o, *v));
     put_opt(out, &p.flits_finishing, |o, v| put_varint(o, *v));
-    put_varint(out, p.log.len() as u64);
-    for r in p.log.records() {
-        put_record(out, r);
-    }
+    put_log(out, &p.log);
     let c = &p.counters;
     for v in [
         c.messages_sent,
@@ -450,11 +259,7 @@ fn put_iface(out: &mut Vec<u8>, p: &InterfacePartial) {
 fn get_iface(buf: &mut &[u8]) -> Option<InterfacePartial> {
     let flits_generating = get_opt(buf, get_varint)?;
     let flits_finishing = get_opt(buf, get_varint)?;
-    let n_records = get_varint(buf)?;
-    let mut log = SampleLog::new();
-    for _ in 0..n_records {
-        log.push(get_record(buf)?);
-    }
+    let log = get_log(buf)?;
     let counters = InterfaceCounters {
         messages_sent: get_varint(buf)?,
         packets_sent: get_varint(buf)?,
@@ -503,66 +308,57 @@ fn get_iface(buf: &mut &[u8]) -> Option<InterfacePartial> {
 }
 
 fn put_router(out: &mut Vec<u8>, p: &RouterPartial) {
-    put_opt(out, &p.metrics, |o, (g, d, cs, occ)| {
-        put_varint(o, *g);
-        put_varint(o, *d);
-        put_varint(o, *cs);
-        put_varint(o, occ.len() as u64);
-        for (v, m) in occ {
-            put_varint(o, *v);
-            put_varint(o, *m);
-        }
-    });
-    put_opt(out, &p.profile, |o, (cycles, advanced, live, high)| {
-        put_varint(o, *cycles);
-        put_varint(o, *advanced);
-        put_u32(o, *live);
-        put_u32(o, *high);
-    });
+    let (grants, denials, credit_stalls, occ) = &p.metrics;
+    for v in [*grants, *denials, *credit_stalls, occ.len() as u64] {
+        put_varint(out, v);
+    }
+    for (v, m) in occ {
+        put_varint(out, *v);
+        put_varint(out, *m);
+    }
+    let (cycles, advanced, live, high) = p.profile;
+    put_varint(out, cycles);
+    put_varint(out, advanced);
+    put_u32(out, live);
+    put_u32(out, high);
     put_opt(out, &p.fault, put_fault);
     put_opt(out, &p.sampler, put_sampler);
-    put_opt(out, &p.occupancy, |o, (buffered, credits)| {
-        put_varint(o, *buffered);
-        put_varint(o, credits.len() as u64);
-        for (avail, cap) in credits {
-            put_u32(o, *avail);
-            put_u32(o, *cap);
-        }
-    });
+    let (buffered, credits) = &p.occupancy;
+    put_varint(out, *buffered);
+    put_varint(out, credits.len() as u64);
+    for (avail, cap) in credits {
+        put_u32(out, *avail);
+        put_u32(out, *cap);
+    }
 }
 
 fn get_router(buf: &mut &[u8]) -> Option<RouterPartial> {
-    let metrics = get_opt(buf, |b| {
-        let g = get_varint(b)?;
-        let d = get_varint(b)?;
-        let cs = get_varint(b)?;
-        let n = get_varint(b)?;
-        let mut occ = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            occ.push((get_varint(b)?, get_varint(b)?));
-        }
-        Some((g, d, cs, occ))
-    })?;
-    let profile = get_opt(buf, |b| {
-        Some((get_varint(b)?, get_varint(b)?, get_u32(b)?, get_u32(b)?))
-    })?;
+    let (grants, denials, credit_stalls) = (get_varint(buf)?, get_varint(buf)?, get_varint(buf)?);
+    let n = get_varint(buf)?;
+    let mut occ = Vec::with_capacity(n.min(1024) as usize);
+    for _ in 0..n {
+        occ.push((get_varint(buf)?, get_varint(buf)?));
+    }
+    let profile = (
+        get_varint(buf)?,
+        get_varint(buf)?,
+        get_u32(buf)?,
+        get_u32(buf)?,
+    );
     let fault = get_opt(buf, get_fault)?;
     let sampler = get_opt(buf, get_sampler)?;
-    let occupancy = get_opt(buf, |b| {
-        let buffered = get_varint(b)?;
-        let n = get_varint(b)?;
-        let mut credits = Vec::with_capacity(n.min(4096) as usize);
-        for _ in 0..n {
-            credits.push((get_u32(b)?, get_u32(b)?));
-        }
-        Some((buffered, credits))
-    })?;
+    let buffered = get_varint(buf)?;
+    let n = get_varint(buf)?;
+    let mut credits = Vec::with_capacity(n.min(4096) as usize);
+    for _ in 0..n {
+        credits.push((get_u32(buf)?, get_u32(buf)?));
+    }
     Some(RouterPartial {
-        metrics,
+        metrics: (grants, denials, credit_stalls, occ),
         profile,
         fault,
         sampler,
-        occupancy,
+        occupancy: (buffered, credits),
     })
 }
 
@@ -625,6 +421,8 @@ mod tests {
     use super::*;
     use supersim_des::Rng;
     use supersim_netbase::SpanBreakdown;
+    use supersim_stats::metrics::HIST_BUCKETS;
+    use supersim_stats::{intern_series, RecordKind, SampleRecord, WindowAggregate, WindowSample};
 
     fn rand_hist(rng: &mut Rng) -> Histogram {
         let mut buckets = [0u64; HIST_BUCKETS];
@@ -753,34 +551,28 @@ mod tests {
 
     fn rand_router(rng: &mut Rng) -> RouterPartial {
         RouterPartial {
-            metrics: rng.gen_bool(0.8).then(|| {
-                (
-                    rng.gen_u64() >> 24,
-                    rng.gen_u64() >> 24,
-                    rng.gen_u64() >> 24,
-                    (0..rng.gen_u64() % 6)
-                        .map(|_| (rng.gen_u64() >> 48, rng.gen_u64() >> 48))
-                        .collect(),
-                )
-            }),
-            profile: rng.gen_bool(0.8).then(|| {
-                (
-                    rng.gen_u64() >> 16,
-                    rng.gen_u64() >> 16,
-                    rng.gen_u64() as u32,
-                    rng.gen_u64() as u32,
-                )
-            }),
+            metrics: (
+                rng.gen_u64() >> 24,
+                rng.gen_u64() >> 24,
+                rng.gen_u64() >> 24,
+                (0..rng.gen_u64() % 6)
+                    .map(|_| (rng.gen_u64() >> 48, rng.gen_u64() >> 48))
+                    .collect(),
+            ),
+            profile: (
+                rng.gen_u64() >> 16,
+                rng.gen_u64() >> 16,
+                rng.gen_u64() as u32,
+                rng.gen_u64() as u32,
+            ),
             fault: rng.gen_bool(0.5).then(|| rand_fault(rng)),
             sampler: rng.gen_bool(0.5).then(|| rand_sampler(rng)),
-            occupancy: rng.gen_bool(0.8).then(|| {
-                (
-                    rng.gen_u64() >> 40,
-                    (0..rng.gen_u64() % 8)
-                        .map(|_| (rng.gen_u64() as u32 % 64, rng.gen_u64() as u32 % 64))
-                        .collect(),
-                )
-            }),
+            occupancy: (
+                rng.gen_u64() >> 40,
+                (0..rng.gen_u64() % 8)
+                    .map(|_| (rng.gen_u64() as u32 % 64, rng.gen_u64() as u32 % 64))
+                    .collect(),
+            ),
         }
     }
 

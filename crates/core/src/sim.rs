@@ -509,9 +509,7 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
     }
 
     for (r, rp) in router_parts.iter().enumerate() {
-        if let Some((grants, denials, credit_stalls, occ)) =
-            rp.as_ref().and_then(|p| p.metrics.as_ref())
-        {
+        if let Some((grants, denials, credit_stalls, occ)) = rp.as_ref().map(|p| &p.metrics) {
             let name = format!("router_{r}");
             metrics.push_counter(&name, "grants", *grants);
             metrics.push_counter(&name, "denials", *denials);
@@ -541,12 +539,11 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
         let mut advanced = 0u64;
         let mut arena_live = 0u64;
         for rp in router_parts.iter().flatten() {
-            if let Some((c, a, live, high)) = rp.profile {
-                cycles += c;
-                advanced += a;
-                arena_live += live as u64;
-                arena_high = arena_high.max(high as u64);
-            }
+            let (c, a, live, high) = rp.profile;
+            cycles += c;
+            advanced += a;
+            arena_live += live as u64;
+            arena_high = arena_high.max(high as u64);
         }
         metrics.push_counter("profile", "events_dispatched", inputs.events_executed);
         metrics.push_counter("profile", "router_cycles", cycles);
@@ -672,10 +669,8 @@ pub(crate) fn assemble(built: &Built, inputs: AssembleInputs) -> RunReport {
             .iter()
             .enumerate()
             .map(|(r, rp)| {
-                let (buffered_flits, credits) = rp
-                    .as_ref()
-                    .and_then(|p| p.occupancy.clone())
-                    .unwrap_or_default();
+                let (buffered_flits, credits) =
+                    rp.as_ref().map(|p| p.occupancy.clone()).unwrap_or_default();
                 RouterDiag {
                     router: r as u32,
                     buffered_flits,

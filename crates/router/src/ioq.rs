@@ -9,708 +9,160 @@
 //! study B), configured here as a core period smaller than the link
 //! period.
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use supersim_des::{Context, Tick};
+use supersim_netbase::Ev;
+use supersim_topology::RouteChoice;
 
-use supersim_des::Rng;
+use crate::common::RouterError;
+use crate::router::{CoreConfig, Pipeline, Router, RouterCore};
+use crate::snapshot::HandleClaims;
+use crate::stages::{Crossbar, OutputQueues};
+use crate::xbar_sched::FlowControl;
 
-use supersim_des::{Clock, Component, Context, Tick, Time};
-use supersim_netbase::{
-    retry_port, CreditCounter, Ev, FaultPlane, FlitArena, FlitHandle, FlitTraceExt, LinkFaults,
-    RouterId, TraceKind,
-};
-use supersim_topology::{RouteChoice, RoutingAlgorithm, RoutingContext};
-
-use crate::arbiter::{Arbiter, Request, RoundRobinArbiter};
-use crate::buffer::VcBuffer;
-use crate::common::{
-    handle_fault_protocol, router_faults, FaultProtocolEvent, RouterError, RouterPorts,
-    RoutingFactory,
-};
-use crate::congestion::{CongestionSensor, CongestionSource, SensorConfig};
-use crate::iq::RouterCounters;
-use crate::metrics::{close_router_window, RouterMetrics, RouterSampleBase};
-use crate::xbar_sched::{FlowControl, OutputScheduler, XbarCandidate};
-use supersim_stats::ComponentSampler;
-
-/// Configuration of an [`IoqRouter`].
+/// Configuration of an input-output-queued router.
 pub struct IoqConfig {
-    /// This router's id in the topology.
-    pub id: RouterId,
-    /// Port wiring.
-    pub ports: RouterPorts,
-    /// Input buffer depth in flits per (port, VC).
-    pub input_buffer: u32,
+    /// The configuration every architecture shares; case study B sweeps
+    /// the sensor's source and granularity.
+    pub core: CoreConfig,
     /// Output queue depth in flits per (port, VC).
     pub output_queue: u32,
-    /// Switch cycle time in ticks; a 2× frequency speedup over the links
-    /// means `core_period = link_period / 2`.
-    pub core_period: Tick,
-    /// Channel cycle time in ticks.
-    pub link_period: Tick,
     /// Crossbar traversal latency in ticks.
     pub xbar_latency: Tick,
     /// Crossbar scheduling flow control technique (input stage).
     pub flow_control: FlowControl,
     /// Arbiter policy for the crossbar schedulers.
     pub arbiter: String,
-    /// Congestion sensor configuration; case study B sweeps its source and
-    /// granularity.
-    pub sensor: SensorConfig,
-    /// Constructor for per-input-port routing engines.
-    pub routing: RoutingFactory,
-    /// Shared fault plane; `None` disables fault injection entirely.
-    pub fault: Option<Arc<FaultPlane>>,
 }
 
-/// The input-output-queued router component.
-pub struct IoqRouter {
-    name: String,
-    id: RouterId,
-    ports: RouterPorts,
-    core_clock: Clock,
-    link_period: Tick,
-    xbar_latency: Tick,
-    input_buffer: u32,
-    /// In-flight flits parked once on arrival; buffers and queues move
-    /// handles only.
-    arena: FlitArena,
-    inputs: Vec<VcBuffer<FlitHandle>>,
-    route_table: Vec<Option<RouteChoice>>,
-    /// Output queues per (port, vc) with ready ticks.
-    oq: Vec<VecDeque<(Tick, FlitHandle)>>,
-    oq_free: Vec<u32>,
-    /// Input-stage crossbar schedulers per output port (enforce VC
-    /// ownership and the flow control technique against OQ space).
-    schedulers: Vec<OutputScheduler>,
-    credits: Vec<CreditCounter>,
-    drain_arb: Vec<RoundRobinArbiter>,
-    routing: Vec<Box<dyn RoutingAlgorithm>>,
-    sensor: CongestionSensor,
-    last_send: Vec<Option<Tick>>,
-    /// Per-output-port candidate buckets, reused across cycles.
-    cand_buckets: Vec<Vec<XbarCandidate>>,
-    /// Drain-stage request scratch, reused across ports and cycles.
-    req_scratch: Vec<Request>,
-    next_pipeline: Option<Tick>,
-    last_cycle: Option<Tick>,
-    /// Operation counters.
-    pub counters: RouterCounters,
-    /// Allocation / flow-control metrics.
-    pub metrics: RouterMetrics,
-    /// Per-port fault and retransmission state; `None` = fault-free.
-    pub fault: Option<LinkFaults>,
-    /// Windowed time-series ring; `None` = sampling disabled.
-    pub sampler: Option<ComponentSampler>,
-    win_base: RouterSampleBase,
-}
-
-impl IoqRouter {
-    /// Builds an IOQ router.
+impl IoqConfig {
+    /// Builds an `ioq_router_<id>`.
     ///
     /// # Errors
     ///
     /// Returns a [`RouterError`] on inconsistent port tables, zero
     /// periods, or a zero-capacity output queue.
-    pub fn new(config: IoqConfig) -> Result<Self, RouterError> {
-        config.ports.validate()?;
-        if config.core_period == 0 || config.link_period == 0 {
-            return Err(RouterError::new("clock periods must be non-zero"));
-        }
-        if config.output_queue == 0 {
+    pub fn build(self) -> Result<Router, RouterError> {
+        if self.output_queue == 0 {
             return Err(RouterError::new("output queues need capacity > 0"));
         }
-        let radix = config.ports.radix;
-        let vcs = config.ports.vcs;
-        let n = (radix * vcs) as usize;
-        let credits = (0..n)
-            .map(|k| {
-                let (port, _) = config.ports.unkey(k);
-                CreditCounter::new(config.ports.downstream_capacity[port as usize])
-            })
-            .collect();
-        let routing = (0..radix).map(|p| (config.routing)(config.id, p)).collect();
-        let schedulers = (0..radix)
-            .map(|_| OutputScheduler::new(config.flow_control, vcs, &config.arbiter))
-            .collect();
-        Ok(IoqRouter {
-            name: format!("ioq_router_{}", config.id.0),
-            id: config.id,
-            core_clock: Clock::new(config.core_period),
-            link_period: config.link_period,
-            xbar_latency: config.xbar_latency,
-            input_buffer: config.input_buffer,
-            arena: FlitArena::new(),
-            inputs: (0..n).map(|_| VcBuffer::new(config.input_buffer)).collect(),
-            route_table: vec![None; n],
-            oq: (0..n).map(|_| VecDeque::new()).collect(),
-            oq_free: vec![config.output_queue; n],
-            schedulers,
-            credits,
-            drain_arb: (0..radix).map(|_| RoundRobinArbiter::new()).collect(),
-            routing,
-            sensor: CongestionSensor::new(radix, vcs, config.sensor),
-            last_send: vec![None; radix as usize],
-            cand_buckets: (0..radix).map(|_| Vec::new()).collect(),
-            req_scratch: Vec::new(),
-            next_pipeline: None,
-            last_cycle: None,
-            counters: RouterCounters::default(),
-            metrics: RouterMetrics::new(radix),
-            fault: router_faults(config.fault, config.id, radix),
-            ports: config.ports,
-            sampler: None,
-            win_base: RouterSampleBase::default(),
-        })
-    }
-
-    /// Input buffer depth per (port, VC).
-    pub fn input_buffer(&self) -> u32 {
-        self.input_buffer
-    }
-
-    /// The congestion sensor (for tests and instrumentation).
-    pub fn sensor(&self) -> &CongestionSensor {
-        &self.sensor
-    }
-
-    /// Flits currently buffered (input buffers + output queues + flits
-    /// parked in fault hold queues), for diagnostic snapshots.
-    pub fn buffered_flits(&self) -> u64 {
-        self.inputs
-            .iter()
-            .map(|b| b.occupancy() as u64)
-            .sum::<u64>()
-            + self.oq.iter().map(|q| q.len() as u64).sum::<u64>()
-            + self.fault.as_ref().map_or(0, |f| f.held_flits())
-    }
-
-    /// Per-(port, vc) downstream credit state as `(available, capacity)`,
-    /// for diagnostic snapshots.
-    pub fn credit_state(&self) -> Vec<(u32, u32)> {
-        self.credits
-            .iter()
-            .map(|c| (c.available(), c.capacity()))
-            .collect()
-    }
-
-    /// Flit-arena occupancy as `(live, high_water)`, for the profiling
-    /// plane.
-    pub fn arena_stats(&self) -> (u32, u32) {
-        (self.arena.live(), self.arena.high_water())
-    }
-
-    fn fault_protocol(&mut self, ctx: &mut Context<'_, Ev>, port: u32, kind: FaultProtocolEvent) {
-        handle_fault_protocol(
-            &mut self.fault,
-            &self.ports,
-            &self.name,
-            self.id.0,
-            ctx,
-            port,
-            kind,
-        );
-    }
-
-    fn ensure_pipeline(&mut self, ctx: &mut Context<'_, Ev>, desired: Tick) {
-        let t = self.core_clock.edge_at_or_after(desired);
-        if self.next_pipeline.is_none_or(|np| t < np) {
-            ctx.schedule_self(Time::new(t, 1), Ev::Pipeline);
-            self.next_pipeline = Some(t);
-        }
-    }
-
-    fn route_heads(&mut self, ctx: &mut Context<'_, Ev>) -> bool {
-        let tick = ctx.now().tick();
-        for k in 0..self.inputs.len() {
-            if self.route_table[k].is_some() {
-                continue;
-            }
-            let (in_port, in_vc) = self.ports.unkey(k);
-            let Some(&h) = self.inputs[k].front() else {
-                continue;
-            };
-            if !self.arena.meta(h).is_head() {
-                ctx.fail(format!(
-                    "{}: body flit of {} at buffer head without a route",
-                    self.name,
-                    self.arena.get(h).pkt.id
-                ));
-                return false;
-            }
-            let view = self.sensor.view_at(tick);
-            let choice = {
-                let mut rctx = RoutingContext {
-                    router: self.id,
-                    input_port: in_port,
-                    input_vc: in_vc,
-                    congestion: &view,
-                    rng: ctx.rng(),
-                };
-                self.routing[in_port as usize].route(&mut rctx, self.arena.get_mut(h))
-            };
-            if choice.port >= self.ports.radix || choice.vc >= self.ports.vcs {
-                ctx.fail(format!(
-                    "{}: routing produced illegal output (port {}, vc {})",
-                    self.name, choice.port, choice.vc
-                ));
-                return false;
-            }
-            if self.ports.flit_links[choice.port as usize].is_none() {
-                ctx.fail(format!(
-                    "{}: routing targeted unused output port {}",
-                    self.name, choice.port
-                ));
-                return false;
-            }
-            self.route_table[k] = Some(choice);
-        }
-        true
-    }
-
-    /// Input stage: per core cycle, each output port accepts at most one
-    /// flit into its output queues; eligibility (including the flow
-    /// control technique) is judged against output-queue space.
-    fn inputs_to_queues(&mut self, ctx: &mut Context<'_, Ev>) -> bool {
-        let tick = ctx.now().tick();
-        let mut progress = false;
-        // A single pass over the inputs distributes candidates into reused
-        // per-output buckets — each input feeds exactly one output, so the
-        // per-output candidate order (ascending input key) and every
-        // queue-space/stall observation are identical to the per-output
-        // sweep this replaces, at O(inputs + radix) per cycle with no
-        // per-cycle allocation.
-        for bucket in &mut self.cand_buckets {
-            bucket.clear();
-        }
-        for k in 0..self.inputs.len() {
-            let Some(route) = self.route_table[k] else {
-                continue;
-            };
-            let out_port = route.port;
-            let Some(&h) = self.inputs[k].front() else {
-                continue;
-            };
-            let m = self.arena.meta(h);
-            let credits = self.oq_free[self.ports.key(out_port, route.vc)];
-            let span = self.arena.get_mut(h).span.as_deref_mut();
-            if credits == 0 {
-                self.metrics.credit_stalls.inc();
-                if let Some(s) = span {
-                    s.stall(tick);
-                }
-            } else if let Some(s) = span {
-                s.resume(tick);
-            }
-            self.cand_buckets[out_port as usize].push(XbarCandidate {
-                input_key: k as u32,
-                age: m.age,
-                out_vc: route.vc,
-                is_head: m.is_head(),
-                is_tail: m.is_tail(),
-                packet_size: m.packet_size,
-                credits,
-            });
-        }
-        for out_port in 0..self.ports.radix {
-            let cands = &self.cand_buckets[out_port as usize];
-            let Some(w) = self.schedulers[out_port as usize].pick(cands, ctx.rng()) else {
-                if !cands.is_empty() {
-                    self.metrics.denials.inc();
-                }
-                continue;
-            };
-            self.metrics.grants.inc();
-            let c = cands[w];
-            let k = c.input_key as usize;
-            let h = self.inputs[k].pop().expect("candidate had a flit");
-            let okey = self.ports.key(out_port, c.out_vc);
-            debug_assert!(self.oq_free[okey] > 0, "scheduler granted without OQ space");
-            self.oq_free[okey] -= 1;
-            self.sensor
-                .add(tick, CongestionSource::Output, out_port, c.out_vc);
-            let (in_port, in_vc) = self.ports.unkey(k);
-            if let Some(cl) = self.ports.credit_links[in_port as usize] {
-                let lost = self.fault.as_mut().is_some_and(|f| f.credit_lost(ctx));
-                if !lost {
-                    ctx.schedule(
-                        cl.component,
-                        Time::at(tick + cl.latency),
-                        Ev::Credit {
-                            port: cl.port,
-                            vc: in_vc,
-                        },
-                    );
-                }
-            }
-            if c.is_tail {
-                self.route_table[k] = None;
-            }
-            let flit = self.arena.get_mut(h);
-            flit.hops += 1;
-            flit.vc = c.out_vc;
-            if let Some(s) = flit.span.as_deref_mut() {
-                // Input residence ends at the crossbar grant; the crossbar
-                // transit is serialization, then a fresh residence segment
-                // begins in the output queue.
-                s.grant(tick, self.xbar_latency, 0);
-                s.enter(tick + self.xbar_latency);
-            }
-            self.metrics.flit_unbuffered(in_port);
-            self.oq[okey].push_back((tick + self.xbar_latency, h));
-            self.counters.flits_advanced += 1;
-            progress = true;
-        }
-        progress
-    }
-
-    /// Output stage: per link period, each port sends at most one ready
-    /// flit with downstream credit.
-    fn queues_to_channels(&mut self, ctx: &mut Context<'_, Ev>, rng: &mut Rng) -> bool {
-        let tick = ctx.now().tick();
-        let mut progress = false;
-        for out_port in 0..self.ports.radix {
-            if self.last_send[out_port as usize].is_some_and(|t| tick < t + self.link_period) {
-                continue;
-            }
-            self.req_scratch.clear();
-            for vc in 0..self.ports.vcs {
-                let okey = self.ports.key(out_port, vc);
-                let Some(&(ready, h)) = self.oq[okey].front() else {
-                    continue;
-                };
-                if ready > tick || !self.credits[okey].has_credit() {
-                    if ready <= tick {
-                        self.metrics.credit_stalls.inc();
-                        if let Some(s) = self.arena.get_mut(h).span.as_deref_mut() {
-                            s.stall(tick);
-                        }
-                    }
-                    continue;
-                }
-                self.req_scratch.push(Request {
-                    id: vc,
-                    age: self.arena.meta(h).age,
-                });
-            }
-            let Some(w) = self.drain_arb[out_port as usize].grant(&self.req_scratch, rng) else {
-                if !self.req_scratch.is_empty() {
-                    self.metrics.denials.inc();
-                }
-                continue;
-            };
-            self.metrics.grants.inc();
-            let vc = self.req_scratch[w].id;
-            let okey = self.ports.key(out_port, vc);
-            let (_, h) = self.oq[okey].pop_front().expect("candidate had a flit");
-            let mut flit = self.arena.take(h);
-            self.oq_free[okey] += 1;
-            self.credits[okey]
-                .consume()
-                .expect("eligibility checked credit");
-            self.sensor
-                .remove(tick, CongestionSource::Output, out_port, vc);
-            self.sensor
-                .add(tick, CongestionSource::Downstream, out_port, vc);
-            ctx.trace_flit(TraceKind::RouterDepart, self.id.0, &flit);
-            let fl = self.ports.flit_links[out_port as usize].expect("validated at route time");
-            if let Some(s) = flit.span.as_deref_mut() {
-                s.grant(tick, 0, fl.latency);
-            }
-            if let Some(fault) = &mut self.fault {
-                fault.send(ctx, out_port, &fl, fl.latency, flit, self.id.0);
-            } else {
-                ctx.schedule(
-                    fl.component,
-                    Time::at(tick + fl.latency),
-                    Ev::Flit {
-                        port: fl.port,
-                        flit,
-                    },
-                );
-            }
-            self.last_send[out_port as usize] = Some(tick);
-            self.counters.flits_out += 1;
-            self.counters.flits_advanced += 1;
-            progress = true;
-        }
-        progress
-    }
-
-    fn cycle(&mut self, ctx: &mut Context<'_, Ev>) {
-        let tick = ctx.now().tick();
-        if self.last_cycle == Some(tick) {
-            return;
-        }
-        self.last_cycle = Some(tick);
-        self.counters.cycles += 1;
-
-        if !self.route_heads(ctx) {
-            return;
-        }
-        let moved_in = self.inputs_to_queues(ctx);
-        let mut rng = { Rng::new(ctx.rng().gen_u64()) };
-        let moved_out = self.queues_to_channels(ctx, &mut rng);
-        let progress = moved_in || moved_out;
-
-        let work_pending =
-            self.inputs.iter().any(|b| !b.is_empty()) || self.oq.iter().any(|q| !q.is_empty());
-        if progress && work_pending {
-            self.ensure_pipeline(ctx, self.core_clock.next_edge(tick));
-        } else if work_pending {
-            // Wake for in-flight crossbar transits and for the link-rate
-            // gate re-opening.
-            let mut wake: Option<Tick> = self
-                .oq
-                .iter()
-                .filter_map(|q| q.front())
-                .map(|&(ready, _)| ready)
-                .filter(|&r| r > tick)
-                .min();
-            let gate = self
-                .last_send
-                .iter()
-                .flatten()
-                .map(|&t| t + self.link_period)
-                .filter(|&t| t > tick)
-                .min();
-            if self.oq.iter().any(|q| !q.is_empty()) {
-                wake = match (wake, gate) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-            if let Some(w) = wake {
-                self.ensure_pipeline(ctx, w);
-            }
-        }
+        let core = RouterCore::new("ioq", self.core)?;
+        let (radix, vcs) = (core.ports().radix, core.ports().vcs);
+        let pipeline = IoqPipeline {
+            xbar_latency: self.xbar_latency,
+            xbar: Crossbar::new(radix, vcs, self.flow_control, &self.arbiter),
+            oq: OutputQueues::new(radix, vcs, Some(self.output_queue)),
+        };
+        Ok(Router::new(core, Box::new(pipeline)))
     }
 }
 
-impl Component<Ev> for IoqRouter {
-    fn name(&self) -> &str {
-        &self.name
-    }
+/// The IOQ pipeline: route, cross the crossbar into the output queues
+/// (judged against queue space), drain at the link rate.
+struct IoqPipeline {
+    xbar_latency: Tick,
+    /// Input-stage crossbar schedulers per output port (enforce VC
+    /// ownership and the flow control technique against OQ space).
+    xbar: Crossbar,
+    oq: OutputQueues,
+}
 
-    fn host_class(&self) -> &'static str {
-        "router"
-    }
-
-    fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
-        match event {
-            Ev::Flit { port, flit } => {
-                if port >= self.ports.radix || flit.vc >= self.ports.vcs {
-                    ctx.fail(format!(
-                        "{}: flit arrived on unknown input (port {port}, vc {})",
-                        self.name, flit.vc
-                    ));
-                    return;
-                }
-                let mut flit = match &mut self.fault {
-                    Some(fault) => {
-                        let reply = self.ports.credit_links[port as usize];
-                        match fault.receive(ctx, port, reply, flit, self.id.0) {
-                            Some(flit) => flit,
-                            None => return, // corrupt copy discarded and nacked
-                        }
-                    }
-                    None => flit,
-                };
-                self.counters.flits_in += 1;
-                if let Some(s) = flit.span.as_deref_mut() {
-                    s.enter(ctx.now().tick());
-                }
-                ctx.trace_flit(TraceKind::RouterArrive, self.id.0, &flit);
-                let k = self.ports.key(port, flit.vc);
-                let h = self.arena.insert(flit);
-                if let Err(h) = self.inputs[k].push(h) {
-                    let flit = self.arena.take(h);
-                    ctx.fail(format!(
-                        "{}: input buffer overrun at port {port} vc {} ({})",
-                        self.name, flit.vc, flit.pkt.id
-                    ));
-                    return;
-                }
-                self.metrics.flit_buffered(port);
-                let now = ctx.now().tick();
-                self.ensure_pipeline(ctx, now);
-            }
-            Ev::Credit { port, vc } => {
-                if port >= self.ports.radix || vc >= self.ports.vcs {
-                    ctx.fail(format!(
-                        "{}: credit arrived for unknown output (port {port}, vc {vc})",
-                        self.name
-                    ));
-                    return;
-                }
-                self.counters.credits_in += 1;
-                let k = self.ports.key(port, vc);
-                if self.credits[k].release().is_err() {
-                    ctx.fail(format!(
-                        "{}: credit overflow at output port {port} vc {vc}",
-                        self.name
-                    ));
-                    return;
-                }
-                self.sensor
-                    .remove(ctx.now().tick(), CongestionSource::Downstream, port, vc);
-                let now = ctx.now().tick();
-                self.ensure_pipeline(ctx, now);
-            }
-            Ev::Pipeline => {
-                let tick = ctx.now().tick();
-                if self.next_pipeline == Some(tick) {
-                    self.next_pipeline = None;
-                }
-                self.cycle(ctx);
-            }
-            Ev::Ack { port } => self.fault_protocol(ctx, port, FaultProtocolEvent::Ack),
-            Ev::Nack { port } => self.fault_protocol(ctx, port, FaultProtocolEvent::Nack),
-            Ev::Internal(tag) if retry_port(tag).is_some() => {
-                let port = retry_port(tag).expect("guard matched");
-                self.fault_protocol(ctx, port, FaultProtocolEvent::Retry);
-            }
-            other => {
-                ctx.fail(format!("{}: unexpected event {other:?}", self.name));
-            }
+impl IoqPipeline {
+    /// Input stage: per core cycle, each output port accepts at most one
+    /// flit into its output queues.
+    fn inputs_to_queues(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>) -> bool {
+        let tick = ctx.now().tick();
+        let mut progress = false;
+        self.xbar.collect(core, tick, self.oq.free.as_deref());
+        for out_port in 0..core.ports().radix {
+            let Some(c) = self.xbar.pick(out_port, &mut core.metrics, ctx.rng()) else {
+                continue;
+            };
+            let route = RouteChoice {
+                port: out_port,
+                vc: c.out_vc,
+            };
+            self.oq
+                .admit(core, ctx, c.input_key as usize, route, self.xbar_latency);
+            progress = true;
         }
+        progress
     }
+}
 
-    fn sample(&mut self, edge: Tick) {
-        if self.sampler.is_none() {
+impl Pipeline for IoqPipeline {
+    fn cycle(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>) {
+        let tick = ctx.now().tick();
+        if !core.route_heads(ctx, None) {
             return;
         }
-        let buffered = self.buffered_flits();
-        let sampler = self.sampler.as_mut().expect("checked above");
-        close_router_window(
-            sampler,
-            &mut self.win_base,
-            edge,
-            &self.metrics,
-            self.counters.flits_in,
-            self.counters.flits_out,
-            buffered,
-        );
+        let moved_in = self.inputs_to_queues(core, ctx);
+        let moved_out = self.oq.drain(core, ctx);
+        let work_pending = core.inputs_pending() || !self.oq.is_empty();
+        if (moved_in || moved_out) && work_pending {
+            core.wake_next_edge(ctx, tick);
+        } else if work_pending {
+            // Wake for in-flight crossbar transits and, while flits wait
+            // in the output queues, for the link-rate gate re-opening.
+            let ready = self.oq.next_ready(tick);
+            let gate = if self.oq.is_empty() {
+                None
+            } else {
+                core.next_link_free(tick)
+            };
+            if let Some(w) = ready.into_iter().chain(gate).min() {
+                core.wake_at(ctx, w);
+            }
+        }
+    }
+
+    fn buffered(&self) -> u64 {
+        self.oq.len()
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {
-        use crate::snapshot as snap;
-        use supersim_des::wire::put_varint;
-        self.arena.save(out);
-        snap::put_buffers(out, &self.inputs);
-        snap::put_routes(out, &self.route_table);
-        snap::put_queues(out, &self.oq);
-        put_varint(out, self.oq_free.len() as u64);
-        for &f in &self.oq_free {
-            put_varint(out, u64::from(f));
-        }
-        put_varint(out, self.schedulers.len() as u64);
-        for s in &self.schedulers {
-            s.save(out);
-        }
-        snap::put_credits(out, &self.credits);
-        put_varint(out, self.drain_arb.len() as u64);
-        for a in &self.drain_arb {
-            a.save(out);
-        }
-        snap::put_routing(out, &self.routing);
-        self.sensor.save(out);
-        snap::put_last_send(out, &self.last_send);
-        snap::put_opt_tick(out, self.next_pipeline);
-        snap::put_opt_tick(out, self.last_cycle);
-        snap::put_counters(out, &self.counters);
-        self.metrics.save(out);
-        snap::put_fault(out, self.fault.as_ref());
-        snap::put_sampler_opt(out, self.sampler.as_ref());
-        self.win_base.save(out);
+        self.oq.save(out);
+        self.xbar.save(out);
     }
 
-    fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use crate::snapshot as snap;
-        use supersim_des::wire::get_varint;
-        let arena = supersim_netbase::FlitArena::load(buf)?;
-        {
-            let mut claims = snap::HandleClaims::new(&arena);
-            snap::load_buffers(&mut self.inputs, &mut claims, buf)?;
-            snap::load_routes(&mut self.route_table, self.ports.radix, self.ports.vcs, buf)?;
-            snap::load_queues(&mut self.oq, &mut claims, buf)?;
-            if !claims.complete() {
-                return None;
-            }
-        }
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.oq_free.len() {
-            return None;
-        }
-        for f in &mut self.oq_free {
-            *f = u32::try_from(get_varint(buf)?).ok()?;
-        }
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.schedulers.len() {
-            return None;
-        }
-        for s in &mut self.schedulers {
-            s.load(buf)?;
-        }
-        snap::load_credits(&mut self.credits, buf)?;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.drain_arb.len() {
-            return None;
-        }
-        for a in &mut self.drain_arb {
-            a.load(buf)?;
-        }
-        snap::load_routing(&mut self.routing, buf)?;
-        self.sensor.load(buf)?;
-        snap::load_last_send(&mut self.last_send, buf)?;
-        self.next_pipeline = snap::get_opt_tick(buf)?;
-        self.last_cycle = snap::get_opt_tick(buf)?;
-        self.counters = snap::get_counters(buf)?;
-        self.metrics.load(buf)?;
-        snap::load_fault(&mut self.fault, buf)?;
-        snap::load_sampler_opt(&mut self.sampler, buf)?;
-        self.win_base = crate::metrics::RouterSampleBase::load(buf)?;
-        self.arena = arena;
-        Some(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn restore(&mut self, buf: &mut &[u8], claims: &mut HandleClaims<'_>) -> Option<()> {
+        self.oq.load(buf, claims)?;
+        self.xbar.load(buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{RouterPorts, RoutingFactory};
     use crate::congestion::CongestionGranularity;
+    use crate::congestion::{CongestionSource, SensorConfig};
     use crate::testutil::TestNet;
+    use supersim_netbase::RouterId;
     use supersim_netbase::TerminalId;
 
     fn ioq_net(fc: FlowControl, core_period: Tick, oq_cap: u32, eject: u32) -> TestNet {
         TestNet::build(2, eject, move |ports, routing| {
-            IoqRouter::new(IoqConfig {
-                id: RouterId(0),
-                ports,
-                input_buffer: 8,
+            IoqConfig {
+                core: CoreConfig {
+                    id: RouterId(0),
+                    ports,
+                    input_buffer: 8,
+                    core_period,
+                    link_period: 2,
+                    sensor: SensorConfig {
+                        source: CongestionSource::Both,
+                        granularity: CongestionGranularity::Vc,
+                        delay: 0,
+                    },
+                    routing,
+                    fault: None,
+                },
                 output_queue: oq_cap,
-                core_period,
-                link_period: 2,
                 xbar_latency: 1,
                 flow_control: fc,
                 arbiter: "round_robin".into(),
-                sensor: SensorConfig {
-                    source: CongestionSource::Both,
-                    granularity: CongestionGranularity::Vc,
-                    delay: 0,
-                },
-                routing,
-                fault: None,
-            })
+            }
+            .build()
             .map(|r| Box::new(r) as _)
         })
     }
@@ -797,24 +249,27 @@ mod tests {
         };
         let routing: RoutingFactory =
             Box::new(|_, _| Box::new(crate::testutil::StaticRouting::new(1, 1)));
-        assert!(IoqRouter::new(IoqConfig {
-            id: RouterId(0),
-            ports,
-            input_buffer: 1,
+        assert!(IoqConfig {
+            core: CoreConfig {
+                id: RouterId(0),
+                ports,
+                input_buffer: 1,
+                core_period: 1,
+                link_period: 1,
+                sensor: SensorConfig {
+                    source: CongestionSource::Both,
+                    granularity: CongestionGranularity::Vc,
+                    delay: 0,
+                },
+                routing,
+                fault: None,
+            },
             output_queue: 0,
-            core_period: 1,
-            link_period: 1,
             xbar_latency: 0,
             flow_control: FlowControl::FlitBuffer,
             arbiter: "round_robin".into(),
-            sensor: SensorConfig {
-                source: CongestionSource::Both,
-                granularity: CongestionGranularity::Vc,
-                delay: 0,
-            },
-            routing,
-            fault: None,
-        })
+        }
+        .build()
         .is_err());
     }
 }

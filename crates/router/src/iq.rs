@@ -8,557 +8,100 @@
 //! hop) credits are available, as governed by the configured
 //! [`FlowControl`] technique.
 
-use std::any::Any;
-use std::sync::Arc;
+use supersim_des::wire::{get_u8, get_varint, put_varint};
+use supersim_des::{Context, Tick};
+use supersim_netbase::Ev;
 
-use supersim_des::{Clock, Component, Context, Tick, Time};
-use supersim_netbase::{
-    retry_port, CreditCounter, Ev, FaultPlane, FlitArena, FlitHandle, FlitTraceExt, LinkFaults,
-    RouterId, TraceKind,
-};
-use supersim_topology::{RouteChoice, RoutingAlgorithm, RoutingContext};
+use crate::common::RouterError;
+use crate::router::{CoreConfig, Pipeline, Router, RouterCore};
+use crate::snapshot::HandleClaims;
+use crate::stages::Crossbar;
+use crate::xbar_sched::FlowControl;
 
-use crate::buffer::VcBuffer;
-use crate::common::{
-    handle_fault_protocol, router_faults, FaultProtocolEvent, RouterError, RouterPorts,
-    RoutingFactory,
-};
-use crate::congestion::{CongestionSensor, CongestionSource, SensorConfig};
-use crate::metrics::{close_router_window, RouterMetrics, RouterSampleBase};
-use crate::xbar_sched::{FlowControl, OutputScheduler, XbarCandidate};
-use supersim_stats::ComponentSampler;
-
-/// Configuration of an [`IqRouter`].
+/// Configuration of an input-queued router.
 pub struct IqConfig {
-    /// This router's id in the topology.
-    pub id: RouterId,
-    /// Port wiring.
-    pub ports: RouterPorts,
-    /// Input buffer depth in flits per (port, VC).
-    pub input_buffer: u32,
-    /// Switch cycle time in ticks.
-    pub core_period: Tick,
-    /// Channel cycle time in ticks (at most one flit per output port per
-    /// link period).
-    pub link_period: Tick,
+    /// The configuration every architecture shares.
+    pub core: CoreConfig,
     /// Crossbar traversal latency in ticks.
     pub xbar_latency: Tick,
     /// Crossbar scheduling flow control technique.
     pub flow_control: FlowControl,
     /// Arbiter policy for the output schedulers.
     pub arbiter: String,
-    /// Congestion sensor configuration.
-    pub sensor: SensorConfig,
-    /// Constructor for per-input-port routing engines.
-    pub routing: RoutingFactory,
-    /// Shared fault plane; `None` disables fault injection entirely.
-    pub fault: Option<Arc<FaultPlane>>,
 }
 
-/// Operation counters of a router, for engine-level statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RouterCounters {
-    /// Flits received on input ports.
-    pub flits_in: u64,
-    /// Flits sent on output ports.
-    pub flits_out: u64,
-    /// Credits received for output VCs.
-    pub credits_in: u64,
-    /// Switch cycles executed. Each cycle is one batched pipeline event,
-    /// so this is also the profiling plane's batch count.
-    pub cycles: u64,
-    /// Flits moved by a pipeline stage (crossbar grants, queue transfers,
-    /// channel sends) — `flits_advanced / cycles` is the per-batch
-    /// advancement rate of the profiling plane.
-    pub flits_advanced: u64,
-}
-
-/// The input-queued router component.
-pub struct IqRouter {
-    name: String,
-    id: RouterId,
-    ports: RouterPorts,
-    clock: Clock,
-    link_period: Tick,
-    xbar_latency: Tick,
-    input_buffer: u32,
-    /// In-flight flits parked once on arrival; buffers and queues move
-    /// handles only.
-    arena: FlitArena,
-    inputs: Vec<VcBuffer<FlitHandle>>,
-    route_table: Vec<Option<RouteChoice>>,
-    /// Whether the packet currently routed at this input has already sent
-    /// its head through the crossbar (after which its route is frozen).
-    route_started: Vec<bool>,
-    credits: Vec<CreditCounter>,
-    schedulers: Vec<OutputScheduler>,
-    routing: Vec<Box<dyn RoutingAlgorithm>>,
-    sensor: CongestionSensor,
-    last_send: Vec<Option<Tick>>,
-    /// Per-output-port candidate buckets, reused across cycles.
-    cand_buckets: Vec<Vec<XbarCandidate>>,
-    next_pipeline: Option<Tick>,
-    last_cycle: Option<Tick>,
-    /// Operation counters.
-    pub counters: RouterCounters,
-    /// Allocation / flow-control metrics.
-    pub metrics: RouterMetrics,
-    /// Per-port fault and retransmission state; `None` = fault-free.
-    pub fault: Option<LinkFaults>,
-    /// Windowed time-series ring; `None` = sampling disabled.
-    pub sampler: Option<ComponentSampler>,
-    win_base: RouterSampleBase,
-}
-
-impl IqRouter {
-    /// Builds an IQ router.
+impl IqConfig {
+    /// Builds an `iq_router_<id>`.
     ///
     /// # Errors
     ///
     /// Returns a [`RouterError`] on inconsistent port tables or zero
     /// periods.
-    pub fn new(config: IqConfig) -> Result<Self, RouterError> {
-        config.ports.validate()?;
-        if config.core_period == 0 || config.link_period == 0 {
-            return Err(RouterError::new("clock periods must be non-zero"));
-        }
-        let radix = config.ports.radix;
-        let vcs = config.ports.vcs;
-        let n = (radix * vcs) as usize;
-        let credits = (0..n)
-            .map(|k| {
-                let (port, _) = config.ports.unkey(k);
-                CreditCounter::new(config.ports.downstream_capacity[port as usize])
-            })
-            .collect();
-        let routing = (0..radix).map(|p| (config.routing)(config.id, p)).collect();
-        let schedulers = (0..radix)
-            .map(|_| OutputScheduler::new(config.flow_control, vcs, &config.arbiter))
-            .collect();
-        Ok(IqRouter {
-            name: format!("iq_router_{}", config.id.0),
-            id: config.id,
-            clock: Clock::new(config.core_period),
-            link_period: config.link_period,
-            xbar_latency: config.xbar_latency,
-            input_buffer: config.input_buffer,
-            arena: FlitArena::new(),
-            inputs: (0..n).map(|_| VcBuffer::new(config.input_buffer)).collect(),
-            route_table: vec![None; n],
-            route_started: vec![false; n],
-            credits,
-            schedulers,
-            routing,
-            sensor: CongestionSensor::new(radix, vcs, config.sensor),
-            last_send: vec![None; radix as usize],
-            cand_buckets: (0..radix).map(|_| Vec::new()).collect(),
-            next_pipeline: None,
-            last_cycle: None,
-            counters: RouterCounters::default(),
-            metrics: RouterMetrics::new(radix),
-            fault: router_faults(config.fault, config.id, radix),
-            ports: config.ports,
-            sampler: None,
-            win_base: RouterSampleBase::default(),
-        })
-    }
-
-    /// Input buffer depth per (port, VC) — the credit count granted to
-    /// upstream devices.
-    pub fn input_buffer(&self) -> u32 {
-        self.input_buffer
-    }
-
-    /// The congestion sensor (for tests and instrumentation).
-    pub fn sensor(&self) -> &CongestionSensor {
-        &self.sensor
-    }
-
-    /// Flits currently buffered (input buffers + flits parked in fault
-    /// hold queues), for diagnostic snapshots.
-    pub fn buffered_flits(&self) -> u64 {
-        self.inputs
-            .iter()
-            .map(|b| b.occupancy() as u64)
-            .sum::<u64>()
-            + self.fault.as_ref().map_or(0, |f| f.held_flits())
-    }
-
-    /// Per-(port, vc) downstream credit state as `(available, capacity)`,
-    /// for diagnostic snapshots.
-    pub fn credit_state(&self) -> Vec<(u32, u32)> {
-        self.credits
-            .iter()
-            .map(|c| (c.available(), c.capacity()))
-            .collect()
-    }
-
-    /// Flit-arena occupancy as `(live, high_water)`, for the profiling
-    /// plane.
-    pub fn arena_stats(&self) -> (u32, u32) {
-        (self.arena.live(), self.arena.high_water())
-    }
-
-    fn fault_protocol(&mut self, ctx: &mut Context<'_, Ev>, port: u32, kind: FaultProtocolEvent) {
-        handle_fault_protocol(
-            &mut self.fault,
-            &self.ports,
-            &self.name,
-            self.id.0,
-            ctx,
-            port,
-            kind,
-        );
-    }
-
-    fn ensure_pipeline(&mut self, ctx: &mut Context<'_, Ev>, desired: Tick) {
-        let t = self.clock.edge_at_or_after(desired);
-        if self.next_pipeline.is_none_or(|np| t < np) {
-            ctx.schedule_self(Time::new(t, 1), Ev::Pipeline);
-            self.next_pipeline = Some(t);
-        }
-    }
-
-    fn cycle(&mut self, ctx: &mut Context<'_, Ev>) {
-        let tick = ctx.now().tick();
-        if self.last_cycle == Some(tick) {
-            return; // duplicate wake-up in the same cycle
-        }
-        self.last_cycle = Some(tick);
-        self.counters.cycles += 1;
-
-        // Stage 1: route computation for new heads. Engines that opt into
-        // re-routing recompute a waiting head's route every cycle until its
-        // packet starts transmitting (Duato-style escape fallback).
-        for k in 0..self.inputs.len() {
-            let (in_port, in_vc) = self.ports.unkey(k);
-            if self.route_table[k].is_some()
-                && (self.route_started[k] || !self.routing[in_port as usize].reroutes())
-            {
-                continue;
-            }
-            let Some(&h) = self.inputs[k].front() else {
-                continue;
-            };
-            if !self.arena.meta(h).is_head() {
-                if self.route_table[k].is_some() {
-                    continue; // body flit streaming on a frozen route
-                }
-                ctx.fail(format!(
-                    "{}: body flit of {} at buffer head without a route",
-                    self.name,
-                    self.arena.get(h).pkt.id
-                ));
-                return;
-            }
-            let view = self.sensor.view_at(tick);
-            let choice = {
-                let mut rctx = RoutingContext {
-                    router: self.id,
-                    input_port: in_port,
-                    input_vc: in_vc,
-                    congestion: &view,
-                    rng: ctx.rng(),
-                };
-                self.routing[in_port as usize].route(&mut rctx, self.arena.get_mut(h))
-            };
-            // Error detection (paper §IV-D): reject illegal routing output.
-            if choice.port >= self.ports.radix || choice.vc >= self.ports.vcs {
-                ctx.fail(format!(
-                    "{}: routing produced illegal output (port {}, vc {})",
-                    self.name, choice.port, choice.vc
-                ));
-                return;
-            }
-            if self.ports.flit_links[choice.port as usize].is_none() {
-                ctx.fail(format!(
-                    "{}: routing targeted unused output port {}",
-                    self.name, choice.port
-                ));
-                return;
-            }
-            self.route_table[k] = Some(choice);
-        }
-
-        // Stage 2: switch allocation, one winner per output port, gated to
-        // the channel rate. A single pass over the inputs distributes
-        // candidates into reused per-output buckets — each input feeds
-        // exactly one output, so the per-output candidate order (ascending
-        // input key) and every credit/stall observation are identical to
-        // the per-output sweep this replaces, at O(inputs + radix) per
-        // cycle with no per-cycle allocation.
-        let mut progress = false;
-        for bucket in &mut self.cand_buckets {
-            bucket.clear();
-        }
-        for k in 0..self.inputs.len() {
-            let Some(route) = self.route_table[k] else {
-                continue;
-            };
-            let out_port = route.port;
-            if self.last_send[out_port as usize].is_some_and(|t| tick < t + self.link_period) {
-                continue; // channel still serializing the previous flit
-            }
-            let Some(&h) = self.inputs[k].front() else {
-                continue;
-            };
-            let m = self.arena.meta(h);
-            let credits = self.credits[self.ports.key(out_port, route.vc)].available();
-            let span = self.arena.get_mut(h).span.as_deref_mut();
-            if credits == 0 {
-                self.metrics.credit_stalls.inc();
-                if let Some(s) = span {
-                    s.stall(tick);
-                }
-            } else if let Some(s) = span {
-                s.resume(tick);
-            }
-            self.cand_buckets[out_port as usize].push(XbarCandidate {
-                input_key: k as u32,
-                age: m.age,
-                out_vc: route.vc,
-                is_head: m.is_head(),
-                is_tail: m.is_tail(),
-                packet_size: m.packet_size,
-                credits,
-            });
-        }
-        for out_port in 0..self.ports.radix {
-            if self.last_send[out_port as usize].is_some_and(|t| tick < t + self.link_period) {
-                continue; // channel still serializing the previous flit
-            }
-            let cands = &self.cand_buckets[out_port as usize];
-            let Some(w) = self.schedulers[out_port as usize].pick(cands, ctx.rng()) else {
-                if !cands.is_empty() {
-                    self.metrics.denials.inc();
-                }
-                continue;
-            };
-            self.metrics.grants.inc();
-            let c = cands[w];
-            let k = c.input_key as usize;
-            let h = self.inputs[k].pop().expect("candidate had a head flit");
-            let mut flit = self.arena.take(h);
-            if self.credits[self.ports.key(out_port, c.out_vc)]
-                .consume()
-                .is_err()
-            {
-                ctx.fail(format!(
-                    "{}: credit underflow on output {out_port}",
-                    self.name
-                ));
-                return;
-            }
-            self.sensor
-                .add(tick, CongestionSource::Downstream, out_port, c.out_vc);
-            let (in_port, in_vc) = self.ports.unkey(k);
-            if let Some(cl) = self.ports.credit_links[in_port as usize] {
-                let lost = self.fault.as_mut().is_some_and(|f| f.credit_lost(ctx));
-                if !lost {
-                    ctx.schedule(
-                        cl.component,
-                        Time::at(tick + cl.latency),
-                        Ev::Credit {
-                            port: cl.port,
-                            vc: in_vc,
-                        },
-                    );
-                }
-            }
-            if flit.is_head() {
-                self.route_started[k] = true;
-            }
-            if flit.is_tail() {
-                self.route_table[k] = None;
-                self.route_started[k] = false;
-            }
-            flit.hops += 1;
-            flit.vc = c.out_vc;
-            self.metrics.flit_unbuffered(in_port);
-            ctx.trace_flit(TraceKind::RouterDepart, self.id.0, &flit);
-            let fl = self.ports.flit_links[out_port as usize].expect("validated at route time");
-            if let Some(s) = flit.span.as_deref_mut() {
-                s.grant(tick, self.xbar_latency, fl.latency);
-            }
-            if let Some(fault) = &mut self.fault {
-                fault.send(
-                    ctx,
-                    out_port,
-                    &fl,
-                    self.xbar_latency + fl.latency,
-                    flit,
-                    self.id.0,
-                );
-            } else {
-                ctx.schedule(
-                    fl.component,
-                    Time::at(tick + self.xbar_latency + fl.latency),
-                    Ev::Flit {
-                        port: fl.port,
-                        flit,
-                    },
-                );
-            }
-            self.last_send[out_port as usize] = Some(tick);
-            self.counters.flits_out += 1;
-            self.counters.flits_advanced += 1;
-            progress = true;
-        }
-
-        // Wake again only when something can change: progress plus pending
-        // work re-arms the next edge; otherwise arriving flits or credits
-        // re-arm via their events.
-        if progress && self.inputs.iter().any(|b| !b.is_empty()) {
-            self.ensure_pipeline(ctx, self.clock.next_edge(tick));
-        }
+    pub fn build(self) -> Result<Router, RouterError> {
+        let core = RouterCore::new("iq", self.core)?;
+        let (radix, vcs) = (core.ports().radix, core.ports().vcs);
+        let pipeline = IqPipeline {
+            xbar_latency: self.xbar_latency,
+            route_started: vec![false; (radix * vcs) as usize],
+            xbar: Crossbar::new(radix, vcs, self.flow_control, &self.arbiter),
+        };
+        Ok(Router::new(core, Box::new(pipeline)))
     }
 }
 
-impl Component<Ev> for IqRouter {
-    fn name(&self) -> &str {
-        &self.name
-    }
+/// The IQ pipeline: route, then one crossbar pass straight onto the
+/// channels.
+struct IqPipeline {
+    xbar_latency: Tick,
+    /// Whether the packet currently routed at each input has already sent
+    /// its head through the crossbar (after which its route is frozen).
+    route_started: Vec<bool>,
+    xbar: Crossbar,
+}
 
-    fn host_class(&self) -> &'static str {
-        "router"
-    }
-
-    fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
-        match event {
-            Ev::Flit { port, flit } => {
-                if port >= self.ports.radix || flit.vc >= self.ports.vcs {
-                    ctx.fail(format!(
-                        "{}: flit arrived on unknown input (port {port}, vc {})",
-                        self.name, flit.vc
-                    ));
-                    return;
-                }
-                let mut flit = match &mut self.fault {
-                    Some(fault) => {
-                        let reply = self.ports.credit_links[port as usize];
-                        match fault.receive(ctx, port, reply, flit, self.id.0) {
-                            Some(flit) => flit,
-                            None => return, // corrupt copy discarded and nacked
-                        }
-                    }
-                    None => flit,
-                };
-                self.counters.flits_in += 1;
-                if let Some(s) = flit.span.as_deref_mut() {
-                    s.enter(ctx.now().tick());
-                }
-                ctx.trace_flit(TraceKind::RouterArrive, self.id.0, &flit);
-                let k = self.ports.key(port, flit.vc);
-                let h = self.arena.insert(flit);
-                if let Err(h) = self.inputs[k].push(h) {
-                    let flit = self.arena.take(h);
-                    ctx.fail(format!(
-                        "{}: input buffer overrun at port {port} vc {} ({})",
-                        self.name, flit.vc, flit.pkt.id
-                    ));
-                    return;
-                }
-                self.metrics.flit_buffered(port);
-                let now = ctx.now().tick();
-                self.ensure_pipeline(ctx, now);
-            }
-            Ev::Credit { port, vc } => {
-                if port >= self.ports.radix || vc >= self.ports.vcs {
-                    ctx.fail(format!(
-                        "{}: credit arrived for unknown output (port {port}, vc {vc})",
-                        self.name
-                    ));
-                    return;
-                }
-                self.counters.credits_in += 1;
-                let k = self.ports.key(port, vc);
-                if self.credits[k].release().is_err() {
-                    ctx.fail(format!(
-                        "{}: credit overflow at output port {port} vc {vc}",
-                        self.name
-                    ));
-                    return;
-                }
-                self.sensor
-                    .remove(ctx.now().tick(), CongestionSource::Downstream, port, vc);
-                let now = ctx.now().tick();
-                self.ensure_pipeline(ctx, now);
-            }
-            Ev::Pipeline => {
-                let tick = ctx.now().tick();
-                if self.next_pipeline == Some(tick) {
-                    self.next_pipeline = None;
-                }
-                self.cycle(ctx);
-            }
-            Ev::Ack { port } => self.fault_protocol(ctx, port, FaultProtocolEvent::Ack),
-            Ev::Nack { port } => self.fault_protocol(ctx, port, FaultProtocolEvent::Nack),
-            Ev::Internal(tag) if retry_port(tag).is_some() => {
-                let port = retry_port(tag).expect("guard matched");
-                self.fault_protocol(ctx, port, FaultProtocolEvent::Retry);
-            }
-            other => {
-                ctx.fail(format!("{}: unexpected event {other:?}", self.name));
-            }
-        }
-    }
-
-    fn sample(&mut self, edge: Tick) {
-        if self.sampler.is_none() {
+impl Pipeline for IqPipeline {
+    fn cycle(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>) {
+        let tick = ctx.now().tick();
+        if !core.route_heads(ctx, Some(&self.route_started)) {
             return;
         }
-        let buffered = self.buffered_flits();
-        let sampler = self.sampler.as_mut().expect("checked above");
-        close_router_window(
-            sampler,
-            &mut self.win_base,
-            edge,
-            &self.metrics,
-            self.counters.flits_in,
-            self.counters.flits_out,
-            buffered,
-        );
+        // Switch allocation, one winner per output port, gated to the
+        // channel rate.
+        self.xbar.collect(core, tick, None);
+        let mut progress = false;
+        for out_port in 0..core.ports().radix {
+            if core.link_busy(out_port, tick) {
+                continue; // channel still serializing the previous flit
+            }
+            let Some(c) = self.xbar.pick(out_port, &mut core.metrics, ctx.rng()) else {
+                continue;
+            };
+            let k = c.input_key as usize;
+            if !core.forward(ctx, k, out_port, c.out_vc, self.xbar_latency) {
+                return;
+            }
+            if c.is_tail {
+                self.route_started[k] = false;
+            } else if c.is_head {
+                self.route_started[k] = true;
+            }
+            progress = true;
+        }
+        // Wake again only when something can change: progress plus pending
+        // work re-arms the next edge; otherwise arriving flits or credits
+        // re-arm via their events.
+        if progress && core.inputs_pending() {
+            core.wake_next_edge(ctx, tick);
+        }
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {
-        use crate::snapshot as snap;
-        use supersim_des::wire::put_varint;
-        self.arena.save(out);
-        snap::put_buffers(out, &self.inputs);
-        snap::put_routes(out, &self.route_table);
         put_varint(out, self.route_started.len() as u64);
-        for &b in &self.route_started {
-            out.push(u8::from(b));
-        }
-        put_varint(out, self.schedulers.len() as u64);
-        for s in &self.schedulers {
-            s.save(out);
-        }
-        snap::put_credits(out, &self.credits);
-        snap::put_routing(out, &self.routing);
-        self.sensor.save(out);
-        snap::put_last_send(out, &self.last_send);
-        snap::put_opt_tick(out, self.next_pipeline);
-        snap::put_opt_tick(out, self.last_cycle);
-        snap::put_counters(out, &self.counters);
-        self.metrics.save(out);
-        snap::put_fault(out, self.fault.as_ref());
-        snap::put_sampler_opt(out, self.sampler.as_ref());
-        self.win_base.save(out);
+        out.extend(self.route_started.iter().map(|&b| u8::from(b)));
+        self.xbar.save(out);
     }
 
-    fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use crate::snapshot as snap;
-        use supersim_des::wire::{get_u8, get_varint};
-        let arena = supersim_netbase::FlitArena::load(buf)?;
-        {
-            let mut claims = snap::HandleClaims::new(&arena);
-            snap::load_buffers(&mut self.inputs, &mut claims, buf)?;
-            if !claims.complete() {
-                return None;
-            }
-        }
-        snap::load_routes(&mut self.route_table, self.ports.radix, self.ports.vcs, buf)?;
+    fn restore(&mut self, buf: &mut &[u8], _claims: &mut HandleClaims<'_>) -> Option<()> {
         let n = usize::try_from(get_varint(buf)?).ok()?;
         if n != self.route_started.len() {
             return None;
@@ -570,66 +113,45 @@ impl Component<Ev> for IqRouter {
                 _ => return None,
             };
         }
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.schedulers.len() {
-            return None;
-        }
-        for s in &mut self.schedulers {
-            s.load(buf)?;
-        }
-        snap::load_credits(&mut self.credits, buf)?;
-        snap::load_routing(&mut self.routing, buf)?;
-        self.sensor.load(buf)?;
-        snap::load_last_send(&mut self.last_send, buf)?;
-        self.next_pipeline = snap::get_opt_tick(buf)?;
-        self.last_cycle = snap::get_opt_tick(buf)?;
-        self.counters = snap::get_counters(buf)?;
-        self.metrics.load(buf)?;
-        snap::load_fault(&mut self.fault, buf)?;
-        snap::load_sampler_opt(&mut self.sampler, buf)?;
-        self.win_base = crate::metrics::RouterSampleBase::load(buf)?;
-        self.arena = arena;
-        Some(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        self.xbar.load(buf)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{RouterPorts, RoutingFactory};
     use crate::congestion::CongestionGranularity;
+    use crate::congestion::{CongestionSource, SensorConfig};
     use crate::testutil::{ring_links, TestNet};
-    use supersim_des::Simulator;
+    use supersim_des::{Simulator, Time};
+    use supersim_netbase::RouterId;
     use supersim_netbase::TerminalId;
 
     /// Builds a 1-router "network": endpoint 0 -> router port 0 -> endpoint 1
     /// on router port 1, using a trivial static routing algorithm.
     fn one_router(fc: FlowControl, vcs: u32, input_buffer: u32, eject_buffer: u32) -> TestNet {
         TestNet::build(vcs, eject_buffer, move |ports, routing| {
-            IqRouter::new(IqConfig {
-                id: RouterId(0),
-                ports,
-                input_buffer,
-                core_period: 1,
-                link_period: 1,
+            IqConfig {
+                core: CoreConfig {
+                    id: RouterId(0),
+                    ports,
+                    input_buffer,
+                    core_period: 1,
+                    link_period: 1,
+                    sensor: SensorConfig {
+                        source: CongestionSource::Downstream,
+                        granularity: CongestionGranularity::Vc,
+                        delay: 0,
+                    },
+                    routing,
+                    fault: None,
+                },
                 xbar_latency: 2,
                 flow_control: fc,
                 arbiter: "round_robin".into(),
-                sensor: SensorConfig {
-                    source: CongestionSource::Downstream,
-                    granularity: CongestionGranularity::Vc,
-                    delay: 0,
-                },
-                routing,
-                fault: None,
-            })
+            }
+            .build()
             .map(|r| Box::new(r) as _)
         })
     }
@@ -704,23 +226,26 @@ mod tests {
         // Three routers in a ring, each with one endpoint; traffic 0 -> 2
         // traverses two routers.
         let mut net = ring_links(3, |ports, routing| {
-            IqRouter::new(IqConfig {
-                id: RouterId(0),
-                ports,
-                input_buffer: 4,
-                core_period: 1,
-                link_period: 1,
+            IqConfig {
+                core: CoreConfig {
+                    id: RouterId(0),
+                    ports,
+                    input_buffer: 4,
+                    core_period: 1,
+                    link_period: 1,
+                    sensor: SensorConfig {
+                        source: CongestionSource::Downstream,
+                        granularity: CongestionGranularity::Vc,
+                        delay: 0,
+                    },
+                    routing,
+                    fault: None,
+                },
                 xbar_latency: 1,
                 flow_control: FlowControl::FlitBuffer,
                 arbiter: "age_based".into(),
-                sensor: SensorConfig {
-                    source: CongestionSource::Downstream,
-                    granularity: CongestionGranularity::Vc,
-                    delay: 0,
-                },
-                routing,
-                fault: None,
-            })
+            }
+            .build()
             .map(|r| Box::new(r) as _)
         });
         net.inject(0, TerminalId(2), 3, 0);
@@ -743,23 +268,26 @@ mod tests {
         };
         let routing: RoutingFactory =
             Box::new(|_, _| Box::new(crate::testutil::StaticRouting::new(1, 1)));
-        let r = IqRouter::new(IqConfig {
-            id: RouterId(0),
-            ports,
-            input_buffer: 4,
-            core_period: 1,
-            link_period: 1,
+        let r = IqConfig {
+            core: CoreConfig {
+                id: RouterId(0),
+                ports,
+                input_buffer: 4,
+                core_period: 1,
+                link_period: 1,
+                sensor: SensorConfig {
+                    source: CongestionSource::Downstream,
+                    granularity: CongestionGranularity::Vc,
+                    delay: 0,
+                },
+                routing,
+                fault: None,
+            },
             xbar_latency: 1,
             flow_control: FlowControl::FlitBuffer,
             arbiter: "round_robin".into(),
-            sensor: SensorConfig {
-                source: CongestionSource::Downstream,
-                granularity: CongestionGranularity::Vc,
-                delay: 0,
-            },
-            routing,
-            fault: None,
-        })
+        }
+        .build()
         .unwrap();
         let id = sim.add_component(Box::new(r));
         let flit = crate::testutil::test_flit(TerminalId(0), TerminalId(1), 1, 0);
@@ -797,23 +325,26 @@ mod tests {
     fn link_rate_is_respected() {
         // link_period 3: consecutive deliveries at least 3 ticks apart.
         let mut net = TestNet::build(1, 64, |ports, routing| {
-            IqRouter::new(IqConfig {
-                id: RouterId(0),
-                ports,
-                input_buffer: 16,
-                core_period: 1,
-                link_period: 3,
+            IqConfig {
+                core: CoreConfig {
+                    id: RouterId(0),
+                    ports,
+                    input_buffer: 16,
+                    core_period: 1,
+                    link_period: 3,
+                    sensor: SensorConfig {
+                        source: CongestionSource::Downstream,
+                        granularity: CongestionGranularity::Vc,
+                        delay: 0,
+                    },
+                    routing,
+                    fault: None,
+                },
                 xbar_latency: 0,
                 flow_control: FlowControl::FlitBuffer,
                 arbiter: "round_robin".into(),
-                sensor: SensorConfig {
-                    source: CongestionSource::Downstream,
-                    granularity: CongestionGranularity::Vc,
-                    delay: 0,
-                },
-                routing,
-                fault: None,
-            })
+            }
+            .build()
             .map(|r| Box::new(r) as _)
         });
         net.inject(0, TerminalId(1), 6, 0);

@@ -1,5 +1,5 @@
-//! Router observability metrics shared by the IQ/OQ/IOQ
-//! microarchitectures.
+//! Router observability metrics, kept by every router's
+//! [`RouterCore`](crate::RouterCore).
 //!
 //! The plain [`RouterCounters`](crate::RouterCounters) answer "how many
 //! flits moved"; these metrics answer *why they didn't*: allocation
@@ -9,7 +9,7 @@
 //! per update.
 
 use supersim_netbase::Port;
-use supersim_stats::{ComponentSampler, Counter, Gauge};
+use supersim_stats::{Counter, Gauge};
 
 /// Allocation and flow-control metrics of one router.
 #[derive(Debug, Clone, Default)]
@@ -94,13 +94,13 @@ impl RouterMetrics {
 }
 
 /// Counter values at the last closed sampling window edge — the delta
-/// basis shared by the IQ/OQ/IOQ `Component::sample` implementations.
+/// basis of [`RouterCore`](crate::RouterCore)'s window sampling.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RouterSampleBase {
-    credit_stalls: u64,
-    grants: u64,
-    flits_in: u64,
-    flits_out: u64,
+pub(crate) struct RouterSampleBase {
+    pub(crate) credit_stalls: u64,
+    pub(crate) grants: u64,
+    pub(crate) flits_in: u64,
+    pub(crate) flits_out: u64,
 }
 
 impl RouterSampleBase {
@@ -123,39 +123,6 @@ impl RouterSampleBase {
             flits_out: get_varint(buf)?,
         })
     }
-}
-
-/// Closes one sampling window of a router: monotonic counter deltas since
-/// the previous edge plus a point-in-time buffered-flit occupancy
-/// snapshot. All three router microarchitectures report the same series,
-/// so the per-window fold sees one uniform `router.*` plane.
-pub fn close_router_window(
-    sampler: &mut ComponentSampler,
-    base: &mut RouterSampleBase,
-    edge: u64,
-    metrics: &RouterMetrics,
-    flits_in: u64,
-    flits_out: u64,
-    buffered: u64,
-) {
-    let credit_stalls = metrics.credit_stalls.get();
-    let grants = metrics.grants.get();
-    sampler.close(
-        edge,
-        vec![
-            ("router.flits_in", flits_in - base.flits_in),
-            ("router.flits_out", flits_out - base.flits_out),
-            ("router.grants", grants - base.grants),
-            ("router.credit_stalls", credit_stalls - base.credit_stalls),
-            ("router.buffered_flits", buffered),
-        ],
-    );
-    *base = RouterSampleBase {
-        credit_stalls,
-        grants,
-        flits_in,
-        flits_out,
-    };
 }
 
 #[cfg(test)]

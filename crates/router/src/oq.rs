@@ -7,269 +7,74 @@
 //! case study A. The input-to-output-queue transfer takes the configured
 //! queue-to-queue core latency.
 
-use std::any::Any;
-use std::collections::VecDeque;
-use std::sync::Arc;
+use supersim_des::wire::{get_u8, get_varint, put_varint};
+use supersim_des::{Context, Tick};
+use supersim_netbase::Ev;
 
-use supersim_des::Rng;
+use crate::common::RouterError;
+use crate::router::{CoreConfig, Pipeline, Router, RouterCore};
+use crate::snapshot::HandleClaims;
+use crate::stages::OutputQueues;
 
-use supersim_des::{Clock, Component, Context, Tick, Time};
-use supersim_netbase::{
-    retry_port, CreditCounter, Ev, FaultPlane, FlitArena, FlitHandle, FlitTraceExt, LinkFaults,
-    RouterId, TraceKind,
-};
-use supersim_topology::{RouteChoice, RoutingAlgorithm, RoutingContext};
-
-use crate::arbiter::{Arbiter, Request, RoundRobinArbiter};
-use crate::buffer::VcBuffer;
-use crate::common::{
-    handle_fault_protocol, router_faults, FaultProtocolEvent, RouterError, RouterPorts,
-    RoutingFactory,
-};
-use crate::congestion::{CongestionSensor, CongestionSource, SensorConfig};
-use crate::iq::RouterCounters;
-use crate::metrics::{close_router_window, RouterMetrics, RouterSampleBase};
-use supersim_stats::ComponentSampler;
-
-/// Configuration of an [`OqRouter`].
+/// Configuration of an output-queued router.
 pub struct OqConfig {
-    /// This router's id in the topology.
-    pub id: RouterId,
-    /// Port wiring.
-    pub ports: RouterPorts,
-    /// Input buffer depth in flits per (port, VC).
-    pub input_buffer: u32,
+    /// The configuration every architecture shares (case study A uses
+    /// sensor source [`CongestionSource::Output`] with a propagation
+    /// delay).
+    ///
+    /// [`CongestionSource::Output`]: crate::CongestionSource::Output
+    pub core: CoreConfig,
     /// Output queue depth in flits per (port, VC); `None` = infinite.
     pub output_queue: Option<u32>,
     /// Queue-to-queue core latency in ticks.
     pub core_latency: Tick,
-    /// Switch cycle time in ticks.
-    pub core_period: Tick,
-    /// Channel cycle time in ticks.
-    pub link_period: Tick,
-    /// Congestion sensor configuration (case study A uses source
-    /// [`CongestionSource::Output`] with a propagation delay).
-    pub sensor: SensorConfig,
-    /// Constructor for per-input-port routing engines.
-    pub routing: RoutingFactory,
-    /// Shared fault plane; `None` disables fault injection entirely.
-    pub fault: Option<Arc<FaultPlane>>,
 }
 
-/// The output-queued router component.
-pub struct OqRouter {
-    name: String,
-    id: RouterId,
-    ports: RouterPorts,
-    clock: Clock,
-    link_period: Tick,
-    core_latency: Tick,
-    input_buffer: u32,
-    /// In-flight flits parked once on arrival; buffers and queues move
-    /// handles only.
-    arena: FlitArena,
-    inputs: Vec<VcBuffer<FlitHandle>>,
-    route_table: Vec<Option<RouteChoice>>,
-    /// Output queues per (port, vc): flit handles with their ready ticks.
-    oq: Vec<VecDeque<(Tick, FlitHandle)>>,
-    /// Remaining space per (port, vc); `None` = infinite queues.
-    oq_free: Option<Vec<u32>>,
-    /// Wormhole atomicity at enqueue: which input key owns each output VC.
-    oq_owner: Vec<Option<u32>>,
-    credits: Vec<CreditCounter>,
-    /// Per-output-port VC drain arbiters.
-    drain_arb: Vec<RoundRobinArbiter>,
-    routing: Vec<Box<dyn RoutingAlgorithm>>,
-    sensor: CongestionSensor,
-    last_send: Vec<Option<Tick>>,
-    /// Drain-stage request scratch, reused across ports and cycles.
-    req_scratch: Vec<Request>,
-    next_pipeline: Option<Tick>,
-    last_cycle: Option<Tick>,
-    /// Operation counters.
-    pub counters: RouterCounters,
-    /// Allocation / flow-control metrics.
-    pub metrics: RouterMetrics,
-    /// Per-port fault and retransmission state; `None` = fault-free.
-    pub fault: Option<LinkFaults>,
-    /// Windowed time-series ring; `None` = sampling disabled.
-    pub sampler: Option<ComponentSampler>,
-    win_base: RouterSampleBase,
-}
-
-impl OqRouter {
-    /// Builds an OQ router.
+impl OqConfig {
+    /// Builds an `oq_router_<id>`.
     ///
     /// # Errors
     ///
-    /// Returns a [`RouterError`] on inconsistent port tables or zero
-    /// periods.
-    pub fn new(config: OqConfig) -> Result<Self, RouterError> {
-        config.ports.validate()?;
-        if config.core_period == 0 || config.link_period == 0 {
-            return Err(RouterError::new("clock periods must be non-zero"));
-        }
-        if config.output_queue == Some(0) {
+    /// Returns a [`RouterError`] on inconsistent port tables, zero
+    /// periods, or a zero-capacity finite output queue.
+    pub fn build(self) -> Result<Router, RouterError> {
+        if self.output_queue == Some(0) {
             return Err(RouterError::new("finite output queues need capacity > 0"));
         }
-        let radix = config.ports.radix;
-        let vcs = config.ports.vcs;
-        let n = (radix * vcs) as usize;
-        let credits = (0..n)
-            .map(|k| {
-                let (port, _) = config.ports.unkey(k);
-                CreditCounter::new(config.ports.downstream_capacity[port as usize])
-            })
-            .collect();
-        let routing = (0..radix).map(|p| (config.routing)(config.id, p)).collect();
-        Ok(OqRouter {
-            name: format!("oq_router_{}", config.id.0),
-            id: config.id,
-            clock: Clock::new(config.core_period),
-            link_period: config.link_period,
-            core_latency: config.core_latency,
-            input_buffer: config.input_buffer,
-            arena: FlitArena::new(),
-            inputs: (0..n).map(|_| VcBuffer::new(config.input_buffer)).collect(),
-            route_table: vec![None; n],
-            oq: (0..n).map(|_| VecDeque::new()).collect(),
-            oq_free: config.output_queue.map(|cap| vec![cap; n]),
-            oq_owner: vec![None; n],
-            credits,
-            drain_arb: (0..radix).map(|_| RoundRobinArbiter::new()).collect(),
-            routing,
-            sensor: CongestionSensor::new(radix, vcs, config.sensor),
-            last_send: vec![None; radix as usize],
-            req_scratch: Vec::new(),
-            next_pipeline: None,
-            last_cycle: None,
-            counters: RouterCounters::default(),
-            metrics: RouterMetrics::new(radix),
-            fault: router_faults(config.fault, config.id, radix),
-            ports: config.ports,
-            sampler: None,
-            win_base: RouterSampleBase::default(),
-        })
+        let core = RouterCore::new("oq", self.core)?;
+        let (radix, vcs) = (core.ports().radix, core.ports().vcs);
+        let pipeline = OqPipeline {
+            core_latency: self.core_latency,
+            oq: OutputQueues::new(radix, vcs, self.output_queue),
+            oq_owner: vec![None; (radix * vcs) as usize],
+        };
+        Ok(Router::new(core, Box::new(pipeline)))
     }
+}
 
-    /// Input buffer depth per (port, VC).
-    pub fn input_buffer(&self) -> u32 {
-        self.input_buffer
-    }
+/// The OQ pipeline: route, move every head into its output queue, drain.
+struct OqPipeline {
+    core_latency: Tick,
+    oq: OutputQueues,
+    /// Wormhole atomicity at enqueue: which input key owns each output VC.
+    oq_owner: Vec<Option<u32>>,
+}
 
-    /// The congestion sensor (for tests and instrumentation).
-    pub fn sensor(&self) -> &CongestionSensor {
-        &self.sensor
-    }
-
-    /// Flits currently buffered (input buffers + output queues + flits
-    /// parked in fault hold queues), for diagnostic snapshots.
-    pub fn buffered_flits(&self) -> u64 {
-        self.inputs
-            .iter()
-            .map(|b| b.occupancy() as u64)
-            .sum::<u64>()
-            + self.oq.iter().map(|q| q.len() as u64).sum::<u64>()
-            + self.fault.as_ref().map_or(0, |f| f.held_flits())
-    }
-
-    /// Per-(port, vc) downstream credit state as `(available, capacity)`,
-    /// for diagnostic snapshots.
-    pub fn credit_state(&self) -> Vec<(u32, u32)> {
-        self.credits
-            .iter()
-            .map(|c| (c.available(), c.capacity()))
-            .collect()
-    }
-
-    /// Flit-arena occupancy as `(live, high_water)`, for the profiling
-    /// plane.
-    pub fn arena_stats(&self) -> (u32, u32) {
-        (self.arena.live(), self.arena.high_water())
-    }
-
-    fn fault_protocol(&mut self, ctx: &mut Context<'_, Ev>, port: u32, kind: FaultProtocolEvent) {
-        handle_fault_protocol(
-            &mut self.fault,
-            &self.ports,
-            &self.name,
-            self.id.0,
-            ctx,
-            port,
-            kind,
-        );
-    }
-
-    fn ensure_pipeline(&mut self, ctx: &mut Context<'_, Ev>, desired: Tick) {
-        let t = self.clock.edge_at_or_after(desired);
-        if self.next_pipeline.is_none_or(|np| t < np) {
-            ctx.schedule_self(Time::new(t, 1), Ev::Pipeline);
-            self.next_pipeline = Some(t);
-        }
-    }
-
-    fn route_heads(&mut self, ctx: &mut Context<'_, Ev>) -> bool {
-        let tick = ctx.now().tick();
-        for k in 0..self.inputs.len() {
-            if self.route_table[k].is_some() {
-                continue;
-            }
-            let (in_port, in_vc) = self.ports.unkey(k);
-            let Some(&h) = self.inputs[k].front() else {
-                continue;
-            };
-            if !self.arena.meta(h).is_head() {
-                ctx.fail(format!(
-                    "{}: body flit of {} at buffer head without a route",
-                    self.name,
-                    self.arena.get(h).pkt.id
-                ));
-                return false;
-            }
-            let view = self.sensor.view_at(tick);
-            let choice = {
-                let mut rctx = RoutingContext {
-                    router: self.id,
-                    input_port: in_port,
-                    input_vc: in_vc,
-                    congestion: &view,
-                    rng: ctx.rng(),
-                };
-                self.routing[in_port as usize].route(&mut rctx, self.arena.get_mut(h))
-            };
-            if choice.port >= self.ports.radix || choice.vc >= self.ports.vcs {
-                ctx.fail(format!(
-                    "{}: routing produced illegal output (port {}, vc {})",
-                    self.name, choice.port, choice.vc
-                ));
-                return false;
-            }
-            if self.ports.flit_links[choice.port as usize].is_none() {
-                ctx.fail(format!(
-                    "{}: routing targeted unused output port {}",
-                    self.name, choice.port
-                ));
-                return false;
-            }
-            self.route_table[k] = Some(choice);
-        }
-        true
-    }
-
-    /// Stage 2: every input may move its head flit into its output queue —
-    /// no scheduling conflicts (the OQ ideal).
-    fn inputs_to_queues(&mut self, ctx: &mut Context<'_, Ev>) -> bool {
+impl OqPipeline {
+    /// Every input may move its head flit into its output queue — no
+    /// scheduling conflicts (the OQ ideal).
+    fn inputs_to_queues(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>) -> bool {
         let tick = ctx.now().tick();
         let mut progress = false;
-        for k in 0..self.inputs.len() {
-            let Some(route) = self.route_table[k] else {
+        for k in 0..core.inputs.len() {
+            let Some(route) = core.route(k) else {
                 continue;
             };
-            let Some(&h) = self.inputs[k].front() else {
+            let Some(&h) = core.inputs[k].front() else {
                 continue;
             };
-            let m = self.arena.meta(h);
-            let okey = self.ports.key(route.port, route.vc);
+            let m = core.arena.meta(h);
+            let okey = core.ports().key(route.port, route.vc);
             // Wormhole atomicity: one packet owns the output VC queue from
             // head to tail enqueue.
             let owner_ok = match self.oq_owner[okey] {
@@ -279,298 +84,48 @@ impl OqRouter {
             if !owner_ok {
                 continue;
             }
-            if let Some(free) = &self.oq_free {
-                if free[okey] == 0 {
-                    self.metrics.credit_stalls.inc();
-                    if let Some(s) = self.arena.get_mut(h).span.as_deref_mut() {
-                        s.stall(tick);
-                    }
-                    continue; // finite queue full: backpressure
+            if self.oq.free.as_ref().is_some_and(|free| free[okey] == 0) {
+                core.metrics.credit_stalls.inc();
+                if let Some(s) = core.arena.get_mut(h).span.as_deref_mut() {
+                    s.stall(tick);
                 }
+                continue; // finite queue full: backpressure
             }
-            self.inputs[k].pop().expect("front existed");
-            if let Some(free) = &mut self.oq_free {
-                free[okey] -= 1;
-            }
-            self.sensor
-                .add(tick, CongestionSource::Output, route.port, route.vc);
-            let (in_port, in_vc) = self.ports.unkey(k);
-            if let Some(cl) = self.ports.credit_links[in_port as usize] {
-                let lost = self.fault.as_mut().is_some_and(|f| f.credit_lost(ctx));
-                if !lost {
-                    ctx.schedule(
-                        cl.component,
-                        Time::at(tick + cl.latency),
-                        Ev::Credit {
-                            port: cl.port,
-                            vc: in_vc,
-                        },
-                    );
-                }
-            }
+            self.oq.admit(core, ctx, k, route, self.core_latency);
             self.oq_owner[okey] = if m.is_tail() { None } else { Some(k as u32) };
-            if m.is_tail() {
-                self.route_table[k] = None;
-            }
-            let flit = self.arena.get_mut(h);
-            if let Some(s) = flit.span.as_deref_mut() {
-                // Input residence ends here; the queue-to-queue transfer is
-                // the OQ model's serialization stage, then a fresh residence
-                // segment begins in the output queue.
-                s.grant(tick, self.core_latency, 0);
-                s.enter(tick + self.core_latency);
-            }
-            flit.hops += 1;
-            flit.vc = route.vc;
-            self.metrics.flit_unbuffered(in_port);
-            self.oq[okey].push_back((tick + self.core_latency, h));
-            self.counters.flits_advanced += 1;
             progress = true;
         }
         progress
-    }
-
-    /// Stage 3: each output port drains at most one ready flit per link
-    /// period, honoring downstream credits.
-    fn queues_to_channels(&mut self, ctx: &mut Context<'_, Ev>, rng_dummy: &mut Rng) -> bool {
-        let tick = ctx.now().tick();
-        let mut progress = false;
-        for out_port in 0..self.ports.radix {
-            if self.last_send[out_port as usize].is_some_and(|t| tick < t + self.link_period) {
-                continue;
-            }
-            self.req_scratch.clear();
-            for vc in 0..self.ports.vcs {
-                let okey = self.ports.key(out_port, vc);
-                let Some(&(ready, h)) = self.oq[okey].front() else {
-                    continue;
-                };
-                if ready > tick {
-                    continue;
-                }
-                if !self.credits[okey].has_credit() {
-                    self.metrics.credit_stalls.inc();
-                    if let Some(s) = self.arena.get_mut(h).span.as_deref_mut() {
-                        s.stall(tick);
-                    }
-                    continue;
-                }
-                self.req_scratch.push(Request {
-                    id: vc,
-                    age: self.arena.meta(h).age,
-                });
-            }
-            let Some(w) = self.drain_arb[out_port as usize].grant(&self.req_scratch, rng_dummy)
-            else {
-                if !self.req_scratch.is_empty() {
-                    self.metrics.denials.inc();
-                }
-                continue;
-            };
-            self.metrics.grants.inc();
-            let vc = self.req_scratch[w].id;
-            let okey = self.ports.key(out_port, vc);
-            let (_, h) = self.oq[okey].pop_front().expect("candidate had a flit");
-            let mut flit = self.arena.take(h);
-            if let Some(free) = &mut self.oq_free {
-                free[okey] += 1;
-            }
-            self.credits[okey]
-                .consume()
-                .expect("eligibility checked credit");
-            self.sensor
-                .remove(tick, CongestionSource::Output, out_port, vc);
-            self.sensor
-                .add(tick, CongestionSource::Downstream, out_port, vc);
-            ctx.trace_flit(TraceKind::RouterDepart, self.id.0, &flit);
-            let fl = self.ports.flit_links[out_port as usize].expect("validated at route time");
-            if let Some(s) = flit.span.as_deref_mut() {
-                s.grant(tick, 0, fl.latency);
-            }
-            if let Some(fault) = &mut self.fault {
-                fault.send(ctx, out_port, &fl, fl.latency, flit, self.id.0);
-            } else {
-                ctx.schedule(
-                    fl.component,
-                    Time::at(tick + fl.latency),
-                    Ev::Flit {
-                        port: fl.port,
-                        flit,
-                    },
-                );
-            }
-            self.last_send[out_port as usize] = Some(tick);
-            self.counters.flits_out += 1;
-            self.counters.flits_advanced += 1;
-            progress = true;
-        }
-        progress
-    }
-
-    fn cycle(&mut self, ctx: &mut Context<'_, Ev>) {
-        let tick = ctx.now().tick();
-        if self.last_cycle == Some(tick) {
-            return;
-        }
-        self.last_cycle = Some(tick);
-        self.counters.cycles += 1;
-
-        if !self.route_heads(ctx) {
-            return;
-        }
-        let moved_in = self.inputs_to_queues(ctx);
-        // The drain arbiter is deterministic; Rng is only part of the
-        // Arbiter interface. Borrow the context's RNG via a reseeded copy
-        // to keep the borrows disjoint.
-        let mut rng = { Rng::new(ctx.rng().gen_u64()) };
-        let moved_out = self.queues_to_channels(ctx, &mut rng);
-        let progress = moved_in || moved_out;
-
-        // Re-arm: next edge while progress keeps state moving; plus the
-        // earliest in-flight ready time (core-latency transits have no
-        // triggering event of their own).
-        let work_pending =
-            self.inputs.iter().any(|b| !b.is_empty()) || self.oq.iter().any(|q| !q.is_empty());
-        if progress && work_pending {
-            self.ensure_pipeline(ctx, self.clock.next_edge(tick));
-        } else if work_pending {
-            if let Some(min_ready) = self
-                .oq
-                .iter()
-                .filter_map(|q| q.front())
-                .map(|&(ready, _)| ready)
-                .filter(|&r| r > tick)
-                .min()
-            {
-                self.ensure_pipeline(ctx, min_ready);
-            }
-        }
     }
 }
 
-impl Component<Ev> for OqRouter {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn host_class(&self) -> &'static str {
-        "router"
-    }
-
-    fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
-        match event {
-            Ev::Flit { port, flit } => {
-                if port >= self.ports.radix || flit.vc >= self.ports.vcs {
-                    ctx.fail(format!(
-                        "{}: flit arrived on unknown input (port {port}, vc {})",
-                        self.name, flit.vc
-                    ));
-                    return;
-                }
-                let mut flit = match &mut self.fault {
-                    Some(fault) => {
-                        let reply = self.ports.credit_links[port as usize];
-                        match fault.receive(ctx, port, reply, flit, self.id.0) {
-                            Some(flit) => flit,
-                            None => return, // corrupt copy discarded and nacked
-                        }
-                    }
-                    None => flit,
-                };
-                self.counters.flits_in += 1;
-                if let Some(s) = flit.span.as_deref_mut() {
-                    s.enter(ctx.now().tick());
-                }
-                ctx.trace_flit(TraceKind::RouterArrive, self.id.0, &flit);
-                let k = self.ports.key(port, flit.vc);
-                let h = self.arena.insert(flit);
-                if let Err(h) = self.inputs[k].push(h) {
-                    let flit = self.arena.take(h);
-                    ctx.fail(format!(
-                        "{}: input buffer overrun at port {port} vc {} ({})",
-                        self.name, flit.vc, flit.pkt.id
-                    ));
-                    return;
-                }
-                self.metrics.flit_buffered(port);
-                let now = ctx.now().tick();
-                self.ensure_pipeline(ctx, now);
-            }
-            Ev::Credit { port, vc } => {
-                if port >= self.ports.radix || vc >= self.ports.vcs {
-                    ctx.fail(format!(
-                        "{}: credit arrived for unknown output (port {port}, vc {vc})",
-                        self.name
-                    ));
-                    return;
-                }
-                self.counters.credits_in += 1;
-                let k = self.ports.key(port, vc);
-                if self.credits[k].release().is_err() {
-                    ctx.fail(format!(
-                        "{}: credit overflow at output port {port} vc {vc}",
-                        self.name
-                    ));
-                    return;
-                }
-                self.sensor
-                    .remove(ctx.now().tick(), CongestionSource::Downstream, port, vc);
-                let now = ctx.now().tick();
-                self.ensure_pipeline(ctx, now);
-            }
-            Ev::Pipeline => {
-                let tick = ctx.now().tick();
-                if self.next_pipeline == Some(tick) {
-                    self.next_pipeline = None;
-                }
-                self.cycle(ctx);
-            }
-            Ev::Ack { port } => self.fault_protocol(ctx, port, FaultProtocolEvent::Ack),
-            Ev::Nack { port } => self.fault_protocol(ctx, port, FaultProtocolEvent::Nack),
-            Ev::Internal(tag) if retry_port(tag).is_some() => {
-                let port = retry_port(tag).expect("guard matched");
-                self.fault_protocol(ctx, port, FaultProtocolEvent::Retry);
-            }
-            other => {
-                ctx.fail(format!("{}: unexpected event {other:?}", self.name));
-            }
-        }
-    }
-
-    fn sample(&mut self, edge: Tick) {
-        if self.sampler.is_none() {
+impl Pipeline for OqPipeline {
+    fn cycle(&mut self, core: &mut RouterCore, ctx: &mut Context<'_, Ev>) {
+        let tick = ctx.now().tick();
+        if !core.route_heads(ctx, None) {
             return;
         }
-        let buffered = self.buffered_flits();
-        let sampler = self.sampler.as_mut().expect("checked above");
-        close_router_window(
-            sampler,
-            &mut self.win_base,
-            edge,
-            &self.metrics,
-            self.counters.flits_in,
-            self.counters.flits_out,
-            buffered,
-        );
+        let moved_in = self.inputs_to_queues(core, ctx);
+        let moved_out = self.oq.drain(core, ctx);
+        // Re-arm: next edge while progress keeps state moving; plus the
+        // earliest in-flight ready time (core-latency transits have no
+        // triggering event of their own).
+        let work_pending = core.inputs_pending() || !self.oq.is_empty();
+        if (moved_in || moved_out) && work_pending {
+            core.wake_next_edge(ctx, tick);
+        } else if work_pending {
+            if let Some(ready) = self.oq.next_ready(tick) {
+                core.wake_at(ctx, ready);
+            }
+        }
+    }
+
+    fn buffered(&self) -> u64 {
+        self.oq.len()
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {
-        use crate::snapshot as snap;
-        use supersim_des::wire::put_varint;
-        self.arena.save(out);
-        snap::put_buffers(out, &self.inputs);
-        snap::put_routes(out, &self.route_table);
-        snap::put_queues(out, &self.oq);
-        match &self.oq_free {
-            None => out.push(0),
-            Some(free) => {
-                out.push(1);
-                put_varint(out, free.len() as u64);
-                for &f in free {
-                    put_varint(out, u64::from(f));
-                }
-            }
-        }
+        self.oq.save(out);
         put_varint(out, self.oq_owner.len() as u64);
         for owner in &self.oq_owner {
             match owner {
@@ -581,49 +136,10 @@ impl Component<Ev> for OqRouter {
                 }
             }
         }
-        snap::put_credits(out, &self.credits);
-        put_varint(out, self.drain_arb.len() as u64);
-        for a in &self.drain_arb {
-            a.save(out);
-        }
-        snap::put_routing(out, &self.routing);
-        self.sensor.save(out);
-        snap::put_last_send(out, &self.last_send);
-        snap::put_opt_tick(out, self.next_pipeline);
-        snap::put_opt_tick(out, self.last_cycle);
-        snap::put_counters(out, &self.counters);
-        self.metrics.save(out);
-        snap::put_fault(out, self.fault.as_ref());
-        snap::put_sampler_opt(out, self.sampler.as_ref());
-        self.win_base.save(out);
     }
 
-    fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
-        use crate::snapshot as snap;
-        use supersim_des::wire::{get_u8, get_varint};
-        let arena = supersim_netbase::FlitArena::load(buf)?;
-        {
-            let mut claims = snap::HandleClaims::new(&arena);
-            snap::load_buffers(&mut self.inputs, &mut claims, buf)?;
-            snap::load_routes(&mut self.route_table, self.ports.radix, self.ports.vcs, buf)?;
-            snap::load_queues(&mut self.oq, &mut claims, buf)?;
-            if !claims.complete() {
-                return None;
-            }
-        }
-        match (get_u8(buf)?, &mut self.oq_free) {
-            (0, None) => {}
-            (1, Some(free)) => {
-                let n = usize::try_from(get_varint(buf)?).ok()?;
-                if n != free.len() {
-                    return None;
-                }
-                for f in free.iter_mut() {
-                    *f = u32::try_from(get_varint(buf)?).ok()?;
-                }
-            }
-            _ => return None,
-        }
+    fn restore(&mut self, buf: &mut &[u8], claims: &mut HandleClaims<'_>) -> Option<()> {
+        self.oq.load(buf, claims)?;
         let n = usize::try_from(get_varint(buf)?).ok()?;
         if n != self.oq_owner.len() {
             return None;
@@ -635,62 +151,41 @@ impl Component<Ev> for OqRouter {
                 _ => return None,
             };
         }
-        snap::load_credits(&mut self.credits, buf)?;
-        let n = usize::try_from(get_varint(buf)?).ok()?;
-        if n != self.drain_arb.len() {
-            return None;
-        }
-        for a in &mut self.drain_arb {
-            a.load(buf)?;
-        }
-        snap::load_routing(&mut self.routing, buf)?;
-        self.sensor.load(buf)?;
-        snap::load_last_send(&mut self.last_send, buf)?;
-        self.next_pipeline = snap::get_opt_tick(buf)?;
-        self.last_cycle = snap::get_opt_tick(buf)?;
-        self.counters = snap::get_counters(buf)?;
-        self.metrics.load(buf)?;
-        snap::load_fault(&mut self.fault, buf)?;
-        snap::load_sampler_opt(&mut self.sampler, buf)?;
-        self.win_base = crate::metrics::RouterSampleBase::load(buf)?;
-        self.arena = arena;
         Some(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{RouterPorts, RoutingFactory};
     use crate::congestion::CongestionGranularity;
+    use crate::congestion::{CongestionSource, SensorConfig};
     use crate::testutil::TestNet;
+    use supersim_netbase::RouterId;
     use supersim_netbase::TerminalId;
 
     fn oq_net(output_queue: Option<u32>, core_latency: Tick, eject: u32) -> TestNet {
         TestNet::build(1, eject, move |ports, routing| {
-            OqRouter::new(OqConfig {
-                id: RouterId(0),
-                ports,
-                input_buffer: 8,
+            OqConfig {
+                core: CoreConfig {
+                    id: RouterId(0),
+                    ports,
+                    input_buffer: 8,
+                    core_period: 1,
+                    link_period: 1,
+                    sensor: SensorConfig {
+                        source: CongestionSource::Output,
+                        granularity: CongestionGranularity::Port,
+                        delay: 0,
+                    },
+                    routing,
+                    fault: None,
+                },
                 output_queue,
                 core_latency,
-                core_period: 1,
-                link_period: 1,
-                sensor: SensorConfig {
-                    source: CongestionSource::Output,
-                    granularity: CongestionGranularity::Port,
-                    delay: 0,
-                },
-                routing,
-                fault: None,
-            })
+            }
+            .build()
             .map(|r| Box::new(r) as _)
         })
     }
@@ -781,22 +276,25 @@ mod tests {
         };
         let routing: RoutingFactory =
             Box::new(|_, _| Box::new(crate::testutil::StaticRouting::new(1, 1)));
-        let err = OqRouter::new(OqConfig {
-            id: RouterId(0),
-            ports,
-            input_buffer: 1,
+        let err = OqConfig {
+            core: CoreConfig {
+                id: RouterId(0),
+                ports,
+                input_buffer: 1,
+                core_period: 1,
+                link_period: 1,
+                sensor: SensorConfig {
+                    source: CongestionSource::Output,
+                    granularity: CongestionGranularity::Port,
+                    delay: 0,
+                },
+                routing,
+                fault: None,
+            },
             output_queue: Some(0),
             core_latency: 1,
-            core_period: 1,
-            link_period: 1,
-            sensor: SensorConfig {
-                source: CongestionSource::Output,
-                granularity: CongestionGranularity::Port,
-                delay: 0,
-            },
-            routing,
-            fault: None,
-        });
+        }
+        .build();
         assert!(err.is_err());
     }
 }

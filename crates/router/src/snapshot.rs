@@ -1,10 +1,6 @@
-//! Shared checkpoint helpers for the router microarchitectures.
-//!
-//! The three routers snapshot the same kinds of state — a flit arena,
-//! handle-bearing buffers and queues, route tables, credit counters,
-//! per-port routing engines — in the same strict LEB128 framing. These
-//! helpers keep the three `Component::snapshot`/`restore` impls small
-//! and byte-compatible in their shared sections.
+//! Checkpoint helpers for routers: the flit arena, handle-bearing
+//! buffers and queues, route tables, credit counters, and per-port
+//! routing engines, all in strict LEB128 framing.
 //!
 //! All decoders are total (`None` on malformed input, never a panic) and
 //! validate shape against the structurally rebuilt router: counts must
@@ -19,12 +15,12 @@ use supersim_netbase::{CreditCounter, FlitArena, FlitHandle};
 use supersim_topology::{RouteChoice, RoutingAlgorithm};
 
 use crate::buffer::VcBuffer;
-use crate::iq::RouterCounters;
+use crate::router::RouterCounters;
 
 /// Validates handle indices against a restored arena: each must address
 /// an occupied slot and may be claimed at most once across all of a
 /// router's buffers and queues.
-pub(crate) struct HandleClaims<'a> {
+pub struct HandleClaims<'a> {
     arena: &'a FlitArena,
     claimed: Vec<bool>,
 }
@@ -37,7 +33,9 @@ impl<'a> HandleClaims<'a> {
         }
     }
 
-    pub(crate) fn claim(&mut self, index: u32) -> Option<FlitHandle> {
+    /// Claims the handle at arena slot `index`: `None` when the slot is
+    /// vacant or already claimed.
+    pub fn claim(&mut self, index: u32) -> Option<FlitHandle> {
         let h = self.arena.handle_at(index)?;
         let slot = self.claimed.get_mut(index as usize)?;
         if *slot {

@@ -13,11 +13,7 @@ use supersim_netbase::{
 use supersim_topology::{RouteChoice, RoutingAlgorithm, RoutingContext};
 
 use crate::common::{RouterError, RouterPorts, RoutingFactory};
-use crate::ioq::IoqRouter;
-use crate::iq::IqRouter;
-use crate::oq::OqRouter;
-
-pub use crate::iq::RouterCounters;
+use crate::router::{Router, RouterCounters};
 
 /// Builds one test flit (single packet of `size` flits, first flit
 /// returned).
@@ -358,21 +354,10 @@ impl TestNet {
         let router = make_router(ports, routing).expect("router construction failed");
         let input_buffer = router
             .as_any()
-            .downcast_ref::<IqRouter>()
-            .map(|r| r.input_buffer())
-            .or_else(|| {
-                router
-                    .as_any()
-                    .downcast_ref::<OqRouter>()
-                    .map(|r| r.input_buffer())
-            })
-            .or_else(|| {
-                router
-                    .as_any()
-                    .downcast_ref::<IoqRouter>()
-                    .map(|r| r.input_buffer())
-            })
-            .expect("unknown router type");
+            .downcast_ref::<Router>()
+            .expect("not a Router")
+            .core()
+            .input_buffer();
         let rid = sim.add_component(router);
         assert_eq!(rid, router_id, "router id prediction broke");
         // Fix up endpoint send-credit capacity to the router's input buffer.
@@ -426,13 +411,8 @@ impl TestNet {
             .router_ids
             .iter()
             .map(|&rid| {
-                let c = self.sim.component(rid).expect("router");
-                let any = c.as_any();
-                any.downcast_ref::<IqRouter>()
-                    .map(|r| r.counters)
-                    .or_else(|| any.downcast_ref::<OqRouter>().map(|r| r.counters))
-                    .or_else(|| any.downcast_ref::<IoqRouter>().map(|r| r.counters))
-                    .expect("unknown router type")
+                let r = self.sim.component_as::<Router>(rid).expect("router");
+                r.core().counters
             })
             .collect();
         TestOutput {

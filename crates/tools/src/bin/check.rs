@@ -4,7 +4,11 @@
 //!
 //! 1. `cargo build --release --locked --offline`
 //! 2. `cargo test -q --locked --offline`
-//! 3. the engine benchmark in smoke mode (`bench_engine --smoke`), which
+//! 3. `cargo test -q --locked --offline -p supersim-router` — the router
+//!    crate's unit tests, including the randomized flit/credit
+//!    conservation and hop-count properties over all nine architecture
+//!    variants and the fused-allocation equivalence model
+//! 4. the engine benchmark in smoke mode (`bench_engine --smoke`), which
 //!    asserts its own floors (every workload > 0 events/s, run stats
 //!    non-empty) so a scheduler regression fails the gate, not just a
 //!    correctness bug.
@@ -40,6 +44,17 @@ fn main() -> ExitCode {
     let steps: &[(&str, &[&str])] = &[
         ("build", &["build", "--release", "--locked", "--offline"]),
         ("test", &["test", "-q", "--locked", "--offline"]),
+        (
+            "router properties",
+            &[
+                "test",
+                "-q",
+                "--locked",
+                "--offline",
+                "-p",
+                "supersim-router",
+            ],
+        ),
         (
             "bench smoke",
             &[

@@ -186,7 +186,11 @@ fn sequential_crash_resume_is_byte_identical() {
 #[test]
 fn sharded_crash_resume_is_byte_identical() {
     for (label, cfg) in matrix("sharded") {
-        crash_resume_case(&format!("sharded {label}"), &cfg, &["--shards", "2"]);
+        crash_resume_case(
+            &format!("sharded {label}"),
+            &cfg,
+            &["--engine", "sharded", "--shards", "2"],
+        );
     }
 }
 

@@ -10,6 +10,9 @@
 //! | 4    | worker process died, hung, or failed to start        |
 //! | 5    | checkpoint resume failure                            |
 //!
+//! Code 1 covers contradictory engine settings too: `--shards n` with
+//! `n > 1` on an engine that resolves to sequential.
+//!
 //! Every test spawns the real binary so the codes observed here are the
 //! codes the operating system reports, not an in-process approximation.
 #![cfg(unix)]
@@ -64,6 +67,30 @@ fn code_1_usage_error() {
         1,
         "unreadable config must be a configuration error"
     );
+}
+
+#[test]
+fn code_1_shards_without_the_sharded_engine() {
+    // A shard count the sequential engine would ignore is a build error
+    // naming both keys, never a silent one-shard run.
+    let dir = scratch_dir("shards");
+    let cfg = write_cfg(&dir, &presets::quickstart());
+    let cfg = cfg.to_str().unwrap();
+    let output = Command::new(bin())
+        .args([cfg, "--no-log", "--shards", "2"])
+        .env_remove("SUPERSIM_ENGINE")
+        .output()
+        .expect("spawn supersim");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("engine.shards") && stderr.contains("engine.kind"),
+        "error must name both keys: {stderr}"
+    );
+    // One shard stays legal, as does the environment default.
+    assert_eq!(run_code(&[cfg, "--no-log", "--shards", "1"], &[]), 0);
+    assert_eq!(run_code(&[cfg, "--no-log"], &[("SUPERSIM_SHARDS", "2")]), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
