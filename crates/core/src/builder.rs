@@ -7,7 +7,7 @@
 //! block (and its `pattern` sub-block) to the application factory.
 
 use supersim_config::Value;
-use supersim_des::{ComponentId, Engine, Simulator, Tick, Time};
+use supersim_des::{ComponentId, Engine, EngineOptions, ProgressShared, Simulator, Tick, Time};
 use supersim_netbase::{
     Ev, FaultConfig, FaultPlane, LinkId, LinkTarget, RouterId, ScheduledOutage, TerminalId,
     TraceFilter, TraceKind,
@@ -50,6 +50,9 @@ pub(crate) struct Built {
     pub checkpoint: CheckpointPlan,
     /// Host-time observability policy (the `host` + `progress` blocks).
     pub host: HostPlan,
+    /// The live-progress board the engine publishes to, created with the
+    /// engine; `Some` exactly when the heartbeat is on.
+    pub progress: Option<Arc<ProgressShared>>,
 }
 
 /// The host-time observability policy: wall-clock profiling, Chrome
@@ -138,7 +141,9 @@ enum EngineChoice {
 /// config that pins an engine stays pinned under a CI job that exports
 /// the sharded default. An explicit `engine.shards` above 1 on an engine
 /// that resolves to `"sequential"` is a [`BuildError::Conflict`]; the
-/// `SUPERSIM_SHARDS` default never is.
+/// `SUPERSIM_SHARDS` default never is. So is a worker timeout
+/// (`process.timeout_ms`, or the legacy `engine.worker_timeout_ms`) on
+/// any transport but `"process"`, which has no workers to time out.
 fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
     let kind = match cfg.req_str("engine.kind") {
         Ok(s) => s.to_string(),
@@ -167,6 +172,18 @@ fn engine_choice(cfg: &Value) -> Result<EngineChoice, BuildError> {
             )))
         }
     };
+    if !process {
+        let timeout_keys = ["process.timeout_ms", "engine.worker_timeout_ms"];
+        if let Some(key) = timeout_keys.into_iter().find(|k| cfg.path(k).is_some()) {
+            return Err(BuildError::Conflict {
+                keys: [key, "engine.transport"],
+                reason: format!(
+                    "a worker timeout needs engine.transport \"process\" (--workers); \
+                     the {transport:?} transport runs no worker processes"
+                ),
+            });
+        }
+    }
     match kind.as_str() {
         "sequential" => {
             if process {
@@ -478,8 +495,24 @@ pub(crate) fn build_with(
         registry.register(format!("router_{r}"));
     }
 
+    let checkpoint = checkpoint_config(cfg)?;
+    let progress =
+        (host.progress_interval_ms > 0).then(|| Arc::new(ProgressShared::new(num_shards)));
+    // Every plane is fixed here, once, and carried through the
+    // conversion to a sharded or worker engine below.
+    let options = EngineOptions {
+        watchdog,
+        sample_interval,
+        trace: trace
+            .as_ref()
+            .map(|(filter, capacity)| (filter.to_spec(), *capacity)),
+        host_sample: if host.enabled { host.sample } else { 0 },
+        progress: progress.clone(),
+        checkpoint_interval: checkpoint.interval,
+    };
+
     // --- component id layout: interfaces, then routers, then monitor ---
-    let mut sim: Simulator<Ev> = Simulator::new(seed);
+    let mut sim: Simulator<Ev> = Simulator::with_options(seed, options);
     let cid = |index: usize| {
         ComponentId::try_from_index(index).ok_or_else(|| {
             BuildError::invalid(format!(
@@ -589,11 +622,7 @@ pub(crate) fn build_with(
         sim.schedule(id, Time::at(0), Ev::Inject);
     }
 
-    if let Some((filter, capacity)) = trace {
-        sim.set_trace(filter.to_spec(), capacity);
-    }
-
-    // Components are registered and kicked on a sequential engine; the
+    // Components are registered and kicked on a one-shard engine; the
     // sharded backends take over the finished layout. Routers partition by
     // topology locality, each interface rides with its attached router
     // (the terminal channel is the hottest link in the graph), and the
@@ -616,7 +645,7 @@ pub(crate) fn build_with(
     };
 
     let mut process = None;
-    let mut engine: Box<dyn Engine<Ev>> = match mode {
+    let engine: Box<dyn Engine<Ev>> = match mode {
         #[cfg(unix)]
         EngineMode::Worker { index, link } => {
             let shard_of = shard_of.unwrap_or_else(|| vec![0u32; sim.num_components()]);
@@ -665,19 +694,6 @@ pub(crate) fn build_with(
             },
         },
     };
-    engine.set_watchdog(watchdog);
-    engine.set_sampler(sample_interval);
-    if host.enabled {
-        // Arms the out-of-band wall-clock profiler on every backend —
-        // workers included, so their DONE frames carry host records.
-        engine.set_host_profiling(host.sample);
-    }
-    let checkpoint = checkpoint_config(cfg)?;
-    // Only the worker backend acts on this (it pauses at barrier
-    // boundaries and ships state frames to the hub); the in-process
-    // engines are segmented by the run loop instead.
-    engine.set_checkpoint_interval(checkpoint.interval);
-
     Ok(Built {
         engine,
         interfaces: interface_ids,
@@ -695,5 +711,6 @@ pub(crate) fn build_with(
         num_shards: num_shards as u32,
         checkpoint,
         host,
+        progress,
     })
 }

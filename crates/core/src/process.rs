@@ -109,8 +109,7 @@ pub(crate) fn run_parent(built: Built, plan: ProcessPlan) -> RunReport {
     let mut attempts = 0u32;
     // The progress board outlives fleet attempts so restart counts and
     // cumulative event totals survive a respawn.
-    let board = (built.host.progress_interval_ms > 0)
-        .then(|| Arc::new(ProgressShared::new(built.num_shards as usize)));
+    let board = built.progress.clone();
     let heartbeat = board.as_ref().map(|b| {
         crate::progress::start(
             built.host.progress_interval_ms,

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use supersim_config::Value;
-use supersim_des::{EngineMetrics, HostShardTimes, ProgressShared, RunOutcome, RunStats, Tick};
+use supersim_des::{EngineMetrics, HostShardTimes, RunOutcome, RunStats, Tick};
 use supersim_netbase::{trace_json_lines, FaultCounters, Phase};
 use supersim_stats::analysis::{LoadPoint, WindowAnalysis};
 use supersim_stats::{
@@ -96,12 +96,10 @@ impl SuperSim {
                 return resume_failure(&self.built, reason);
             }
         }
-        let heartbeat = (self.built.host.progress_interval_ms > 0).then(|| {
-            let board = Arc::new(ProgressShared::new(self.built.num_shards as usize));
-            self.built.engine.set_progress(Arc::clone(&board));
+        let heartbeat = self.built.progress.as_ref().map(|board| {
             crate::progress::start(
                 self.built.host.progress_interval_ms,
-                board,
+                Arc::clone(board),
                 self.built.tick_limit,
             )
         });

@@ -86,7 +86,7 @@ pub trait Component<E>: Any + Send {
 
     /// Closes one sampling window at the window edge `edge` (a multiple
     /// of the interval armed via
-    /// [`Engine::set_sampler`](crate::Engine::set_sampler)).
+    /// [`EngineOptions::sample_interval`](crate::EngineOptions::sample_interval)).
     ///
     /// The engine guarantees that every event with a tick strictly below
     /// `edge` has executed and no event at or beyond `edge` has, so the

@@ -1,20 +1,28 @@
 //! The engine abstraction: what it means to execute a simulation.
 //!
-//! The executor is split from the component model so that one simulation
-//! can run on either backend:
+//! There is one run loop: the generation-lockstep round protocol in
+//! [`protocol`](crate::protocol), executed by every shard of a
+//! simulation. Two engines drive it:
 //!
-//! - [`SequentialEngine`](crate::SequentialEngine) — the single-threaded
-//!   calendar-queue executor (the original `Simulator`, which remains as a
-//!   type alias),
-//! - [`ShardedEngine`](crate::ShardedEngine) — components partitioned
-//!   across worker threads advancing in conservatively synchronized
-//!   rounds.
+//! - [`InProcessEngine`](crate::InProcessEngine) (alias
+//!   [`Simulator`](crate::Simulator)) — components are registered on one
+//!   shard, which runs inline on the calling thread;
+//!   [`into_sharded`](crate::InProcessEngine::into_sharded) partitions
+//!   them across shards that run on worker threads.
+//! - `WorkerEngine` — one shard in its own OS process, synchronized with
+//!   its siblings through a parent hub.
+//!
+//! Everything an engine does besides executing events — watchdog,
+//! sampler, trace, host profiling, progress board, checkpoint interval —
+//! is one [`EngineOptions`] value, fixed at construction and carried
+//! through both conversions.
 //!
 //! # The determinism contract
 //!
-//! Both engines produce **bit-identical** simulations for the same
-//! `(configuration, seed)`: the same events in the same canonical order,
-//! the same per-component random draws, and the same trace byte stream.
+//! Every engine and shard count produces **bit-identical** simulations
+//! for the same `(configuration, seed)`: the same events in the same
+//! canonical order, the same per-component random draws, and the same
+//! trace byte stream.
 //! Three mechanisms make that possible:
 //!
 //! 1. **Event stamps.** Every scheduled event carries an [`EventStamp`]:
@@ -23,25 +31,36 @@
 //!    counter). Stamps are unique and depend only on each component's own
 //!    execution history — not on how components interleave.
 //! 2. **Canonical batch order.** All events at the earliest pending
-//!    `(tick, epsilon)` form one *generation*; both engines sort each
-//!    generation by stamp before dispatch. By induction, identical
-//!    generations produce identical per-component histories, hence
-//!    identical stamps, hence identical future generations.
+//!    `(tick, epsilon)` form one *generation*; every shard sorts its
+//!    slice of each generation by stamp before dispatch. By induction,
+//!    identical generations produce identical per-component histories,
+//!    hence identical stamps, hence identical future generations.
 //! 3. **Per-component random streams.** Each component draws from its own
 //!    [`Rng::stream`](crate::Rng::stream) generator derived from
 //!    `(seed, component index)`, so no draw depends on global ordering.
 //!
 //! Events scheduled *during* a generation at the same `(tick, epsilon)`
-//! join the **next** generation — this was already the sequential batch
-//! semantics, and it is exactly what a barrier-synchronized engine can
-//! guarantee for cross-shard events, so zero-latency messages (e.g. the
-//! workload monitor's same-tick command broadcast) need no special case.
+//! join the **next** generation — exactly what a barrier-synchronized
+//! round can guarantee for cross-shard events, so zero-latency messages
+//! (e.g. the workload monitor's same-tick command broadcast) need no
+//! special case.
+//!
+//! # Failure and stop
+//!
+//! [`Context::stop`] and [`Context::fail`] take effect at the end of the
+//! generation in which they were raised, on every backend and shard
+//! count: the rest of the generation executes, later generations stay
+//! pending. When several components fail in one generation, the failure
+//! with the smallest event stamp is reported. A stopped run resumes with
+//! the next generation.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::component::{Component, ComponentId};
 use crate::event::EventQueue;
+use crate::host::{HostShardTimes, ProgressShared};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
 use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
@@ -80,6 +99,52 @@ pub(crate) struct TaggedTrace {
     pub stamp: EventStamp,
     pub recno: u32,
     pub ev: TraceEvent,
+}
+
+/// Everything an engine does besides executing events, fixed when the
+/// engine is built and carried unchanged through
+/// [`into_sharded`](crate::InProcessEngine::into_sharded) and
+/// `into_worker`. The default arms nothing; every disarmed plane costs
+/// one branch per generation.
+#[derive(Debug, Clone, Default)]
+pub struct EngineOptions {
+    /// No-progress watchdog window in ticks; 0 disarms it. A run breaks
+    /// with [`RunOutcome::Watchdog`] when the next pending event lies
+    /// more than `watchdog` ticks after the last reported progress
+    /// ([`Context::progress`]). The check is a pure function of the
+    /// deterministic event stream, so the trip tick is identical on every
+    /// backend and shard count.
+    pub watchdog: Tick,
+    /// Sampling window width in ticks; 0 disarms the sampler. Before
+    /// executing the first generation at or past each window edge
+    /// `k * interval` (`k = 1, 2, …`), the engine calls
+    /// [`Component::sample`] with that edge on every component. Edges are
+    /// crossed in order and each exactly once, even when one generation
+    /// jumps several windows; a run that ends mid-window never closes the
+    /// trailing partial window. The edge sequence is a pure function of
+    /// the global generation sequence, so each shard samples its own
+    /// components at the round covering the edge and the union is the
+    /// same on every backend and shard count.
+    pub sample_interval: Tick,
+    /// Trace collection: records passing the spec go into a ring of the
+    /// given capacity. `None` disables tracing.
+    pub trace: Option<(TraceSpec, usize)>,
+    /// Host-time profiling stride: phase wall-times are measured every
+    /// generation and per-event component-class attribution runs on one
+    /// generation in `host_sample`; 0 disarms profiling. Host clocks are
+    /// strictly out-of-band: they never influence event ordering,
+    /// delivery, or any deterministic output.
+    pub host_sample: u32,
+    /// Live-progress board the engine publishes to after each generation
+    /// (cumulative events, current tick). Relaxed atomic stores only —
+    /// the board is read by an out-of-band heartbeat and never feeds back
+    /// into the simulation.
+    pub progress: Option<Arc<ProgressShared>>,
+    /// Checkpoint interval in ticks; 0 disarms it. Only a worker engine
+    /// acts on it, shipping its state to the hub whenever the run crosses
+    /// a `k * interval` boundary; the caller of an in-process engine
+    /// checkpoints by segmenting [`Engine::run_until`].
+    pub checkpoint_interval: Tick,
 }
 
 /// Why a run call returned.
@@ -163,7 +228,7 @@ impl RunStats {
 pub const BATCH_BUCKETS: usize = 65;
 
 /// Per-shard engine self-metrics accumulated over the engine's lifetime.
-/// The sequential engine reports exactly one shard.
+/// A one-shard engine reports exactly one entry.
 ///
 /// The `des` crate sits below the stats crate in the dependency order, so
 /// the batch-size distribution is exposed as a raw log₂-bucketed count
@@ -216,7 +281,7 @@ pub(crate) fn log2_bucket(v: u64) -> usize {
 
 /// Where a [`Context`] delivers scheduled events.
 pub(crate) enum SinkRef<'a, E> {
-    /// Single queue (sequential engine, or shard-local fast path).
+    /// Single queue: a one-shard engine, where every target is local.
     Local(&'a mut EventQueue<Stamped<E>>),
     /// Sharded routing: local targets go to this shard's queue, remote
     /// targets to the per-destination outbox flushed at the next barrier.
@@ -365,16 +430,18 @@ impl<E> Context<'_, E> {
         sink.recno += 1;
     }
 
-    /// Requests an orderly stop, leaving remaining events pending. The
-    /// sequential engine returns after the current event completes; the
-    /// sharded engine completes the current generation first (stop is a
-    /// cooperative signal, not an abort, so both are valid stop points).
+    /// Requests an orderly stop. The engine completes the current
+    /// generation, then returns [`RunOutcome::Stopped`] with every later
+    /// event still pending — the same halt point on every backend and
+    /// shard count.
     pub fn stop(&mut self) {
         *self.stop_requested = true;
     }
 
     /// Reports a fatal modeling error (paper §IV-D error detection). The
-    /// engine halts and surfaces the message in [`RunOutcome::Failed`].
+    /// engine completes the current generation, then halts and surfaces
+    /// the message in [`RunOutcome::Failed`] (the smallest-stamp failure
+    /// when several components fail in one generation).
     pub fn fail(&mut self, message: impl Into<String>) {
         if self.failure.is_none() {
             *self.failure = Some(message.into());
@@ -398,8 +465,9 @@ impl<E> Context<'_, E> {
 ///
 /// Object-safe so callers can hold a `Box<dyn Engine<E>>` chosen at
 /// configuration time. Construction is backend-specific (components are
-/// registered on a [`SequentialEngine`](crate::SequentialEngine), which
-/// can then be [sharded](crate::SequentialEngine::into_sharded)).
+/// registered on an [`InProcessEngine`](crate::InProcessEngine), which
+/// can then be [sharded](crate::InProcessEngine::into_sharded)), and
+/// every plane is fixed at construction by its [`EngineOptions`].
 pub trait Engine<E: 'static>: fmt::Debug {
     /// Enqueues an initial event from outside any component.
     ///
@@ -442,31 +510,6 @@ pub trait Engine<E: 'static>: fmt::Debug {
     /// Events ever enqueued, across all shards.
     fn total_enqueued(&self) -> u64;
 
-    /// Arms the no-progress watchdog: a run breaks with
-    /// [`RunOutcome::Watchdog`] when the next pending event lies more
-    /// than `window` ticks after the last reported progress
-    /// ([`Context::progress`]). `window = 0` disarms it. The check is a
-    /// pure function of the deterministic event stream, so the trip tick
-    /// is identical on every backend and shard count.
-    fn set_watchdog(&mut self, window: Tick);
-
-    /// Arms the windowed sampler: before executing the first generation
-    /// at or past each window edge `k * interval` (`k = 1, 2, …`), the
-    /// engine calls [`Component::sample`] with that edge on every
-    /// component. Edges are crossed in order and each exactly once, even
-    /// when a single generation jumps several windows; a run that ends
-    /// mid-window never closes the trailing partial window. The edge
-    /// sequence is a pure function of the global generation sequence, so
-    /// sampling is identical on every backend and shard count (each shard
-    /// samples its own components at the barrier round covering the
-    /// edge). `interval = 0` disarms the sampler; the disabled path costs
-    /// one branch per generation.
-    fn set_sampler(&mut self, interval: Tick);
-
-    /// Enables trace collection into a ring of `capacity` records
-    /// matching `spec`. Replaces any previous trace state.
-    fn set_trace(&mut self, spec: TraceSpec, capacity: usize);
-
     /// Whether trace collection is enabled.
     fn trace_enabled(&self) -> bool;
 
@@ -505,36 +548,10 @@ pub trait Engine<E: 'static>: fmt::Debug {
         false
     }
 
-    /// Arms transport-driven checkpointing (multi-process workers only):
-    /// the engine emits its state to the hub whenever the run crosses a
-    /// `k * interval` tick boundary. A no-op on backends whose caller
-    /// drives checkpointing by segmenting [`Engine::run_until`].
-    fn set_checkpoint_interval(&mut self, interval: Tick) {
-        let _ = interval;
-    }
-
-    /// Arms host-time profiling: phase wall-times are measured every
-    /// batch and per-event component-class attribution runs on one batch
-    /// in `sample`. `sample = 0` (the default) disarms profiling — the
-    /// disabled path costs one branch per batch. Host clocks are
-    /// strictly out-of-band: they never influence event ordering,
-    /// delivery, or any deterministic output.
-    fn set_host_profiling(&mut self, sample: u32) {
-        let _ = sample;
-    }
-
     /// The host-time records collected so far, one per shard in shard
     /// order. Empty when profiling is disarmed or unsupported.
-    fn host_times(&self) -> Vec<crate::host::HostShardTimes> {
+    fn host_times(&self) -> Vec<HostShardTimes> {
         Vec::new()
-    }
-
-    /// Installs a live-progress board the engine publishes to after each
-    /// batch (cumulative events, current tick). Relaxed atomic stores
-    /// only — the board is read by an out-of-band heartbeat emitter and
-    /// never feeds back into the simulation.
-    fn set_progress(&mut self, progress: std::sync::Arc<crate::host::ProgressShared>) {
-        let _ = progress;
     }
 }
 
@@ -555,8 +572,8 @@ impl<E: 'static> dyn Engine<E> + '_ {
 
 /// Moves one finished generation's trace records into the ring.
 ///
-/// `round` must already be in canonical order — naturally true for the
-/// sequential engine, established by a stamp sort for the sharded merge.
+/// `round` must already be in canonical order — naturally true for one
+/// shard, established by a stamp sort for the multi-shard merge.
 pub(crate) fn flush_trace(buffer: &mut TraceBuffer, round: &mut Vec<TaggedTrace>) {
     for t in round.drain(..) {
         buffer.push(t.ev);

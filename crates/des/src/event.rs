@@ -32,6 +32,11 @@
 //! (one event per bucket) do not pay one `malloc` per event the way
 //! `Vec`-buckets would. This is the classic timing-wheel representation.
 //!
+//! Each bucket's minimum epsilon lives in a parallel byte array, updated
+//! on every link, drain, and pop, so reading the queue head
+//! ([`EventQueue::peek_time`]) is one occupancy-bitmap scan and never
+//! walks a bucket.
+//!
 //! The executor additionally drains whole same-`(tick, epsilon)` batches
 //! through [`EventQueue::take_batch`] so the hot loop does not re-examine
 //! the queue between events that are already known to be ready.
@@ -94,12 +99,13 @@ impl<E> Ord for OverflowEntry<E> {
 ///
 /// Flit, credit, and clock events land within a few ticks of `now`; 4096
 /// ticks of headroom keeps even long channel pipelines and slow clocks in
-/// the O(1) ring while costing only 32 KiB of bucket list heads.
+/// the O(1) ring while costing only 36 KiB of bucket list heads and
+/// minimum epsilons.
 const DEFAULT_HORIZON: usize = 4096;
 
-/// Upper bound for adaptive horizon growth (2^20 buckets = 8 MiB of
-/// bucket list heads). Workloads spread wider than this keep using the
-/// overflow heap beyond the ring.
+/// Upper bound for adaptive horizon growth (2^20 buckets = 9 MiB of
+/// bucket list heads and minimum epsilons). Workloads spread wider than
+/// this keep using the overflow heap beyond the ring.
 const MAX_HORIZON: usize = 1 << 20;
 
 /// Sentinel slab index: "no slot".
@@ -143,6 +149,12 @@ pub struct EventQueue<E> {
     /// `buckets[t & mask]` lists the events for tick `t`, for `t` in
     /// `[cur_tick, cur_tick + horizon)`, in enqueue order.
     buckets: Box<[Bucket]>,
+    /// `min_eps[i]`: smallest epsilon listed in bucket `i` (meaningless
+    /// while the bucket is empty), kept current on every link, drain, and
+    /// pop so the queue head is read without walking the bucket. A
+    /// parallel array rather than a `Bucket` field, which keeps buckets
+    /// at 8 bytes.
+    min_eps: Box<[Epsilon]>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupancy: Box<[u64]>,
     /// `buckets.len() - 1`; bucket count is a power of two.
@@ -185,6 +197,7 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free_head: NIL,
             buckets: vec![Bucket::EMPTY; horizon].into_boxed_slice(),
+            min_eps: vec![0; horizon].into_boxed_slice(),
             occupancy: vec![0u64; horizon / 64].into_boxed_slice(),
             mask: horizon - 1,
             cur_tick: 0,
@@ -254,19 +267,23 @@ impl<E> EventQueue<E> {
         entry
     }
 
-    /// Appends slab cell `slot` to bucket `idx` and updates occupancy.
+    /// Appends slab cell `slot` to bucket `idx` and updates occupancy and
+    /// the bucket's minimum epsilon.
     #[inline]
     fn link_back(&mut self, idx: usize, slot: u32) {
+        let eps = self.slab[slot as usize].time.epsilon();
         let bucket = self.buckets[idx];
         if bucket.tail == NIL {
             self.buckets[idx] = Bucket {
                 head: slot,
                 tail: slot,
             };
+            self.min_eps[idx] = eps;
             self.set_occupied(idx);
         } else {
             self.slab[bucket.tail as usize].next = slot;
             self.buckets[idx].tail = slot;
+            self.min_eps[idx] = self.min_eps[idx].min(eps);
         }
         self.ring_len += 1;
     }
@@ -330,6 +347,7 @@ impl<E> EventQueue<E> {
                 vec![Bucket::EMPTY; new_horizon].into_boxed_slice(),
             );
             self.occupancy = vec![0u64; new_horizon / 64].into_boxed_slice();
+            self.min_eps = vec![0; new_horizon].into_boxed_slice();
             self.mask = new_horizon - 1;
             // Re-thread every event into its new bucket. Walking each old
             // list head-to-tail preserves per-tick FIFO order (each old
@@ -372,61 +390,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves the cursor forward to the tick of the earliest pending event
-    /// and returns its bucket index, or `None` if the queue is empty.
-    fn seek(&mut self) -> Option<usize> {
-        if self.ring_len == 0 {
-            // Ring empty: jump straight to the earliest overflow event.
-            let tick = self.overflow.peek()?.time.tick();
-            self.advance_to(tick);
-            return Some(tick as usize & self.mask);
-        }
-        // Scan the occupancy bitmap from the cursor; the ring is non-empty
-        // so a set bit exists within `horizon` buckets.
-        let horizon = self.horizon();
-        let mut tick = self.cur_tick;
-        let mut scanned = 0usize;
-        loop {
-            let idx = tick as usize & self.mask;
-            // Examine the remainder of this bitmap word in one load.
-            let word_idx = idx >> 6;
-            let bit = idx & 63;
-            let word = self.occupancy[word_idx] >> bit;
-            if word != 0 {
-                let skip = word.trailing_zeros() as u64;
-                let found = tick + skip;
-                if found != self.cur_tick {
-                    self.advance_to(found);
-                }
-                return Some(found as usize & self.mask);
-            }
-            let step = 64 - bit;
-            tick += step as u64;
-            scanned += step;
-            debug_assert!(scanned <= horizon + 64, "occupancy bitmap out of sync");
-        }
-    }
-
-    /// Smallest epsilon in bucket `idx` (which must be non-empty).
-    fn min_epsilon(&self, idx: usize) -> Epsilon {
-        let mut cur = self.buckets[idx].head;
-        debug_assert!(cur != NIL, "min_epsilon of empty bucket");
-        let mut eps = Epsilon::MAX;
-        while cur != NIL {
-            let slot = &self.slab[cur as usize];
-            eps = eps.min(slot.time.epsilon());
-            cur = slot.next;
-        }
-        eps
-    }
-
     /// Removes and returns the earliest event, or `None` when empty.
     ///
     /// Equal-`(tick, epsilon)` events pop in enqueue order (FIFO).
     #[inline]
     pub fn pop(&mut self) -> Option<EventEntry<E>> {
-        let idx = self.seek()?;
-        let eps = self.min_epsilon(idx);
+        let head = self.peek_time()?;
+        self.advance_to(head.tick());
+        let idx = head.tick() as usize & self.mask;
+        let eps = head.epsilon();
         // Unlink the first event carrying that epsilon.
         let mut prev = NIL;
         let mut cur = self.buckets[idx].head;
@@ -443,6 +415,15 @@ impl<E> EventQueue<E> {
         if next == NIL {
             self.buckets[idx].tail = prev;
         }
+        // The survivors' minimum may have risen: rescan them.
+        let mut min_eps = Epsilon::MAX;
+        let mut walk = self.buckets[idx].head;
+        while walk != NIL {
+            let slot = &self.slab[walk as usize];
+            min_eps = min_eps.min(slot.time.epsilon());
+            walk = slot.next;
+        }
+        self.min_eps[idx] = min_eps;
         if self.buckets[idx].head == NIL {
             self.clear_occupied(idx);
         }
@@ -475,64 +456,57 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drains the earliest same-`(tick, epsilon)` batch into `out`
-    /// (cleared first) — but only if its tick is at most `tick_limit` —
-    /// and returns the batch time.
+    /// Drains the generation at `head` — the queue head exactly as
+    /// [`EventQueue::peek_time`] reported it — into `out` (cleared
+    /// first), in FIFO order.
     ///
-    /// Returns `None` (leaving the queue untouched, cursor included) when
-    /// the queue is empty or the next event lies beyond `tick_limit`;
-    /// disambiguate with [`EventQueue::is_empty`]. Not advancing the
-    /// cursor on the limit path matters: after a paused run, the engine
-    /// may legally schedule events earlier than the event the scan found.
-    ///
-    /// This is the executor's hot-path interface — one scan serves peek,
-    /// limit check, and batch extraction. Everything in one batch is ready
-    /// simultaneously, so the hot loop can dispatch the whole slice
-    /// without consulting the queue again. Events scheduled *during* batch
-    /// execution at the same `(tick, epsilon)` land behind the batch and
-    /// form the next one, preserving global FIFO order.
-    pub fn take_batch_until(
-        &mut self,
-        tick_limit: Tick,
-        out: &mut Vec<EventEntry<E>>,
-    ) -> Option<Time> {
+    /// This is the executor's hot-path interface: a round peeks the head
+    /// once to decide whether to run it, and the drain goes straight to
+    /// that bucket. Everything in one batch is ready simultaneously, so
+    /// the hot loop can dispatch the whole slice without consulting the
+    /// queue again. Events scheduled *during* batch execution at the same
+    /// `(tick, epsilon)` land behind the batch and form the next one,
+    /// preserving global FIFO order.
+    pub fn take_head(&mut self, head: Time, out: &mut Vec<EventEntry<E>>) {
+        debug_assert_eq!(self.peek_time(), Some(head), "stale queue head");
         out.clear();
-        let tick = self.next_tick()?;
-        if tick > tick_limit {
-            return None;
-        }
-        self.advance_to(tick);
-        let idx = tick as usize & self.mask;
-        self.drain_min_epsilon(idx, out);
-        debug_assert!(!out.is_empty(), "scanned tick had no events");
-        Some(out[0].time)
+        self.advance_to(head.tick());
+        self.drain_min_epsilon(head.tick() as usize & self.mask, out);
+        debug_assert!(!out.is_empty(), "head bucket had no events");
     }
 
     /// Drains **all** events at the earliest `(tick, epsilon)` into `out`
     /// (cleared first), in FIFO order, and returns how many there were.
     pub fn take_batch(&mut self, out: &mut Vec<EventEntry<E>>) -> usize {
-        self.take_batch_until(Tick::MAX, out);
+        match self.peek_time() {
+            Some(head) => self.take_head(head, out),
+            None => out.clear(),
+        }
         out.len()
     }
 
     /// Moves the min-epsilon slice of bucket `idx` (non-empty) into `out`,
     /// preserving both the drained and the surviving events' FIFO order.
     fn drain_min_epsilon(&mut self, idx: usize, out: &mut Vec<EventEntry<E>>) {
-        let eps = self.min_epsilon(idx);
+        let eps = self.min_eps[idx];
         let mut keep = Bucket::EMPTY;
+        let mut keep_min = Epsilon::MAX;
         let mut cur = self.buckets[idx].head;
         while cur != NIL {
             let next = self.slab[cur as usize].next;
-            if self.slab[cur as usize].time.epsilon() == eps {
+            let cur_eps = self.slab[cur as usize].time.epsilon();
+            if cur_eps == eps {
                 out.push(self.free_slot(cur));
             } else if keep.tail == NIL {
                 keep = Bucket {
                     head: cur,
                     tail: cur,
                 };
+                keep_min = cur_eps;
             } else {
                 self.slab[keep.tail as usize].next = cur;
                 keep.tail = cur;
+                keep_min = keep_min.min(cur_eps);
             }
             cur = next;
         }
@@ -540,66 +514,24 @@ impl<E> EventQueue<E> {
             self.slab[keep.tail as usize].next = NIL;
         }
         self.buckets[idx] = keep;
+        self.min_eps[idx] = keep_min;
         if keep.head == NIL {
             self.clear_occupied(idx);
         }
         self.ring_len -= out.len();
     }
 
-    /// Reinserts not-yet-executed batch events at the *front* of their
-    /// bucket, undoing part of a [`EventQueue::take_batch`].
-    ///
-    /// Used when the executor aborts mid-batch (stop, failure): the
-    /// remaining events were enqueued before anything scheduled during the
-    /// batch, so they must run first when the simulation resumes.
-    pub fn requeue_front(&mut self, entries: impl Iterator<Item = EventEntry<E>>) {
-        let mut chain = Bucket::EMPTY;
-        let mut count = 0usize;
-        let mut tick = 0u64;
-        for e in entries {
-            debug_assert!(chain.head == NIL || e.time.tick() == tick);
-            tick = e.time.tick();
-            let slot = self.alloc_slot(e.time, e.target, e.payload);
-            if chain.tail == NIL {
-                chain = Bucket {
-                    head: slot,
-                    tail: slot,
-                };
-            } else {
-                self.slab[chain.tail as usize].next = slot;
-                chain.tail = slot;
-            }
-            count += 1;
-        }
-        if chain.head == NIL {
-            return;
-        }
-        debug_assert!(tick >= self.cur_tick && tick - self.cur_tick <= self.mask as u64);
-        let idx = tick as usize & self.mask;
-        let old = self.buckets[idx];
-        self.slab[chain.tail as usize].next = old.head;
-        self.buckets[idx] = Bucket {
-            head: chain.head,
-            tail: if old.tail == NIL {
-                chain.tail
-            } else {
-                old.tail
-            },
-        };
-        self.set_occupied(idx);
-        self.ring_len += count;
-    }
-
     /// The time of the earliest pending event, if any.
     ///
     /// Does not advance the cursor past empty buckets; cost is bounded by
-    /// one occupancy-bitmap scan.
+    /// one occupancy-bitmap scan (each bucket keeps its minimum epsilon,
+    /// so the bucket itself is not walked).
     pub fn peek_time(&self) -> Option<Time> {
         if self.ring_len == 0 {
             return self.overflow.peek().map(|e| e.time);
         }
         let tick = self.next_tick().expect("ring non-empty");
-        let eps = self.min_epsilon(tick as usize & self.mask);
+        let eps = self.min_eps[tick as usize & self.mask];
         Some(Time::new(tick, eps))
     }
 
@@ -903,21 +835,26 @@ mod tests {
     }
 
     #[test]
-    fn requeue_front_restores_order() {
+    fn bucket_minimum_tracks_pops_and_drains() {
         let mut q = EventQueue::new();
-        for i in 0..4 {
-            q.push(id(0), Time::at(5), i);
-        }
+        q.push(id(0), Time::new(3, 2), "c");
+        q.push(id(0), Time::new(3, 0), "a1");
+        q.push(id(0), Time::new(3, 1), "b");
+        q.push(id(0), Time::new(3, 0), "a2");
+        assert_eq!(q.peek_time(), Some(Time::new(3, 0)));
+        assert_eq!(q.pop().unwrap().payload, "a1");
+        assert_eq!(q.peek_time(), Some(Time::new(3, 0)), "a2 still pending");
+        assert_eq!(q.pop().unwrap().payload, "a2");
+        assert_eq!(q.peek_time(), Some(Time::new(3, 1)));
         let mut batch = Vec::new();
-        q.take_batch(&mut batch);
-        // Execute only the first event; a new same-time event arrives.
-        let mut it = batch.drain(..);
-        let first = it.next().unwrap();
-        assert_eq!(first.payload, 0);
-        q.push(id(0), Time::at(5), 99);
-        q.requeue_front(it);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec![1, 2, 3, 99]);
+        assert_eq!(q.take_batch(&mut batch), 1);
+        assert_eq!(q.peek_time(), Some(Time::new(3, 2)));
+        q.push(id(0), Time::new(3, 1), "late");
+        assert_eq!(
+            q.peek_time(),
+            Some(Time::new(3, 1)),
+            "link lowers the minimum"
+        );
     }
 
     #[test]

@@ -24,10 +24,10 @@ pub const MAX_ROUND_SLICES: usize = 8192;
 
 /// Wall-time of one executed round (generation batch) on one shard.
 ///
-/// `start_ns` is relative to the owning recorder's epoch (the start of
-/// that engine's `run_until`), so slices from different worker processes
-/// are aligned only approximately — good enough for a timeline view,
-/// never used for anything else.
+/// `start_ns` is relative to the owning recorder's epoch (when its engine
+/// was built), so slices from different worker processes are aligned
+/// only approximately — good enough for a timeline view, never used for
+/// anything else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostRoundSlice {
     /// Nanoseconds since the recorder epoch when the round began.
@@ -232,9 +232,9 @@ impl HostShardTimes {
 }
 
 /// Engine-side helper pairing a [`HostShardTimes`] with its wall-clock
-/// epoch and the batch-sampling counter. Created disabled; an engine
-/// arms it via [`HostRecorder::set_sample`] and resets the epoch at the
-/// start of each `run_until`.
+/// epoch and the batch-sampling counter. An engine creates one per shard
+/// when it is built, armed with its options' stride, and keeps it across
+/// `run_until` calls, so the record covers every run segment.
 #[derive(Debug)]
 pub struct HostRecorder {
     epoch: Instant,
@@ -243,43 +243,24 @@ pub struct HostRecorder {
     pub times: HostShardTimes,
 }
 
-impl Default for HostRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl HostRecorder {
-    /// A disabled recorder: every probe is a no-op until armed.
-    pub fn new() -> Self {
+    /// A recorder armed with the given stride; 0 disables it, making
+    /// every probe a no-op.
+    pub fn with_sample(sample: u32) -> Self {
         HostRecorder {
             epoch: Instant::now(),
             counter: 0,
-            times: HostShardTimes::default(),
+            times: HostShardTimes {
+                sample,
+                ..HostShardTimes::default()
+            },
         }
-    }
-
-    /// A recorder armed with the given stride (0 keeps it disabled).
-    pub fn with_sample(sample: u32) -> Self {
-        let mut r = Self::new();
-        r.set_sample(sample);
-        r
-    }
-
-    /// Arms (sample ≥ 1) or disarms (0) profiling.
-    pub fn set_sample(&mut self, sample: u32) {
-        self.times.sample = sample;
     }
 
     /// Whether any probing should happen at all.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.times.sample != 0
-    }
-
-    /// Re-bases `start_ns` of future slices on "now".
-    pub fn reset_epoch(&mut self) {
-        self.epoch = Instant::now();
     }
 
     /// Nanoseconds since the epoch (saturating to `u64`).

@@ -53,11 +53,8 @@ mod component;
 mod engine;
 mod event;
 mod host;
-#[cfg(all(test, feature = "proptest"))]
-mod proptests;
 mod protocol;
 mod rng;
-mod sharded;
 mod simulator;
 mod snapshot;
 mod time;
@@ -68,17 +65,20 @@ pub mod wire;
 pub use clock::Clock;
 pub use component::{Component, ComponentId};
 pub use engine::{
-    Context, Engine, EngineMetrics, EventStamp, RunOutcome, RunStats, BATCH_BUCKETS, EXTERNAL_SRC,
+    Context, Engine, EngineMetrics, EngineOptions, EventStamp, RunOutcome, RunStats, BATCH_BUCKETS,
+    EXTERNAL_SRC,
 };
 pub use event::{EventEntry, EventQueue};
 pub use host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared, MAX_ROUND_SLICES};
 #[cfg(unix)]
 pub use protocol::WorkerEngine;
 pub use rng::{Rng, SampleRange};
-pub use sharded::ShardedEngine;
-pub use simulator::{SequentialEngine, Simulator};
+pub use simulator::{InProcessEngine, Simulator};
 pub use time::{Epsilon, Tick, Time};
 pub use trace::{TraceBuffer, TraceEvent, TraceSpec};
 pub use transport::TransportError;
 #[cfg(unix)]
 pub use transport::{Hub, HubHostStats, HubResult, ProcessTransport, WorkerLink, WorkerSetup};
+
+#[cfg(test)]
+mod proptests;

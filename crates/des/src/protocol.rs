@@ -1,6 +1,7 @@
-//! The generation-lockstep round protocol, written once against
-//! [`ShardTransport`] and shared by the in-process
-//! [`ShardedEngine`](crate::ShardedEngine) and the multi-process
+//! The generation-lockstep round protocol: the one run loop of the
+//! crate, written once against [`ShardTransport`] and shared by the
+//! in-process [`InProcessEngine`](crate::InProcessEngine) (one shard
+//! inline, or one thread per shard) and the multi-process
 //! [`WorkerEngine`].
 //!
 //! Each loop iteration is one barrier round covering one generation:
@@ -16,22 +17,26 @@
 //!    accumulate in per-destination outboxes.
 //! 3. **Exchange.** Ship outboxes, trace records, and stop/failure
 //!    flags; deliver inbound events in sender order; halt on the agreed
-//!    stop/failure state.
+//!    stop/failure state, so a stop or failure always takes effect at
+//!    the end of its generation.
 //!
 //! Because cross-shard events are delivered at the end of the round, an
 //! event scheduled *during* generation `m` at time `m` joins the *next*
-//! generation — exactly the sequential batch semantics.
+//! generation. With one shard the transport is trivial (the fold is the
+//! local head, the exchange only flushes trace records) and every event
+//! goes straight into the local queue, so the loop reduces to draining
+//! and dispatching one generation after another.
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{
-    next_edge_after, Context, Engine, EngineMetrics, EventStamp, RunOutcome, RunStats, SinkRef,
-    Stamped, TaggedTrace, TraceSink, EXTERNAL_SRC,
+    next_edge_after, Context, Engine, EngineMetrics, EngineOptions, EventStamp, RunOutcome,
+    RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, EXTERNAL_SRC,
 };
 use crate::event::{EventEntry, EventQueue};
-use crate::host::{HostRecorder, HostRoundSlice, ProgressShared};
+use crate::host::{HostRecorder, HostRoundSlice};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
-use crate::trace::{TraceEvent, TraceSpec};
+use crate::trace::TraceEvent;
 use crate::transport::{RoundOut, ShardTransport, TransportError};
 
 /// One shard: a slice of the component space plus its own event queue and
@@ -50,6 +55,22 @@ pub(crate) struct Shard<E> {
 }
 
 impl<E> Shard<E> {
+    /// An empty shard over a full-length component table of `n` slots,
+    /// with per-component random streams and send counters copied from
+    /// the engine it is cut from.
+    pub(crate) fn empty(n: usize, rngs: &[Rng], seqs: &[u64]) -> Self {
+        Shard {
+            components: (0..n).map(|_| None).collect(),
+            rngs: rngs.to_vec(),
+            seqs: seqs.to_vec(),
+            queue: EventQueue::new(),
+            batch: Vec::new(),
+            events_executed: 0,
+            batches: 0,
+            batch_counts: [0; crate::engine::BATCH_BUCKETS],
+        }
+    }
+
     pub(crate) fn record_batch(&mut self, done: u64) {
         if done == 0 {
             return;
@@ -124,18 +145,13 @@ pub(crate) struct ProtocolParams<'a> {
     pub my_shard: u32,
     pub num_shards: usize,
     pub tick_limit: Tick,
-    /// No-progress watchdog window in ticks; 0 = disarmed.
-    pub watchdog: Tick,
-    /// Sampling window width in ticks; 0 = disarmed.
-    pub sample_interval: Tick,
     pub start_now: Time,
     pub start_progress: Tick,
-    pub trace_spec: Option<TraceSpec>,
     /// Component index → owning shard.
     pub shard_of: &'a [u32],
-    /// Out-of-band live-progress board (shard 0 additionally publishes
-    /// the tick and round count); `None` when no heartbeat is armed.
-    pub progress_board: Option<&'a ProgressShared>,
+    /// The engine's planes. On the progress board, every shard publishes
+    /// its event count and shard 0 also the tick and round count.
+    pub options: &'a EngineOptions,
 }
 
 /// Runs barrier rounds over `transport` until a halt decision. Returns
@@ -158,11 +174,14 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
     let mut round_trace: Vec<TaggedTrace> = Vec::new();
     let mut batch = std::mem::take(&mut shard.batch);
     let mut local_progress = p.start_progress;
+    let sample_interval = p.options.sample_interval;
+    let watchdog = p.options.watchdog;
+    let trace_spec = p.options.trace.map(|(spec, _)| spec);
     // Every shard advances its edge cursor from the same global `m`
     // sequence, so all cursors stay in lockstep and together the shards
-    // sample exactly the component set the sequential engine would.
+    // sample every component exactly once per edge.
     let mut next_edge =
-        (p.sample_interval > 0).then(|| next_edge_after(p.start_now.tick(), p.sample_interval));
+        (sample_interval > 0).then(|| next_edge_after(p.start_now.tick(), sample_interval));
     // Assigned by the fold before every loop exit.
     let mut global_progress;
     let outcome = loop {
@@ -171,7 +190,10 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         // fold / sample-edge / drain / execute / exchange with at most
         // six clock reads per round.
         let m0 = if profiling { host.now_ns() } else { 0 };
-        let fold = transport.fold(shard.queue.peek_time(), local_progress)?;
+        // The published head is reused below: nothing touches the queue
+        // between the fold and this shard's drain.
+        let head = shard.queue.peek_time();
+        let fold = transport.fold(head, local_progress)?;
         let m1 = if profiling { host.now_ns() } else { 0 };
         let round_fold_ns = m1 - m0;
         if profiling {
@@ -186,7 +208,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         if m.tick() > p.tick_limit {
             break RunOutcome::TickLimit;
         }
-        if p.watchdog > 0 && m.tick().saturating_sub(global_progress) > p.watchdog {
+        if watchdog > 0 && m.tick().saturating_sub(global_progress) > watchdog {
             break RunOutcome::Watchdog {
                 last_progress: global_progress,
             };
@@ -194,8 +216,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         // This round covers any window edges up to `m`: every event
         // below the edge executed in an earlier round, so each shard
         // closes the window over its own components before generation
-        // `m` runs — the per-shard half of the sequential engine's
-        // pre-generation sweep.
+        // `m` runs.
         if next_edge.is_some_and(|e| e <= m.tick()) {
             while let Some(edge) = next_edge.filter(|&e| e <= m.tick()) {
                 for slot in shard.components.iter_mut() {
@@ -203,7 +224,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                         c.sample(edge);
                     }
                 }
-                next_edge = edge.checked_add(p.sample_interval);
+                next_edge = edge.checked_add(sample_interval);
             }
             if profiling {
                 host.times.sample_edge_ns += host.now_ns() - m1;
@@ -217,13 +238,11 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
         let mut round_exec_ns = 0u64;
         // The batch executes in stamp order, so the first failure seen
         // is this shard's smallest-stamp failure; the transport folds
-        // the cross-shard minimum (the failure the sequential engine
-        // would have hit first).
+        // the cross-shard minimum.
         let mut failure_local: Option<(EventStamp, String)> = None;
-        if shard.queue.peek_time() == Some(m) {
+        if head == Some(m) {
             let m2 = if profiling { host.now_ns() } else { 0 };
-            let t = shard.queue.take_batch_until(p.tick_limit, &mut batch);
-            debug_assert_eq!(t, Some(m));
+            shard.queue.take_head(m, &mut batch);
             if batch.len() > 1 {
                 batch.sort_unstable_by_key(|e| e.payload.stamp);
             }
@@ -242,21 +261,26 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                 let taken = shard.components.get_mut(idx).and_then(|slot| slot.take());
                 match taken {
                     Some(mut component) => {
-                        let mut ctx = Context {
-                            now: m,
-                            self_id: entry.target,
-                            sink: SinkRef::Sharded {
+                        let sink = if T::ALONE {
+                            SinkRef::Local(&mut shard.queue)
+                        } else {
+                            SinkRef::Sharded {
                                 queue: &mut shard.queue,
                                 shard_of: p.shard_of,
                                 my_shard: p.my_shard,
                                 outboxes: &mut local_out,
-                            },
+                            }
+                        };
+                        let mut ctx = Context {
+                            now: m,
+                            self_id: entry.target,
+                            sink,
                             seq: &mut shard.seqs[idx],
                             rng: &mut shard.rngs[idx],
                             stop_requested: &mut stop_local,
                             progress: &mut progress_local,
                             failure: &mut fail_local,
-                            trace: p.trace_spec.map(|spec| TraceSink {
+                            trace: trace_spec.map(|spec| TraceSink {
                                 spec,
                                 stamp: entry.payload.stamp,
                                 recno: 0,
@@ -320,7 +344,7 @@ pub(crate) fn run_shard_rounds<E: 'static, T: ShardTransport<E>>(
                 });
             }
         }
-        if let Some(board) = p.progress_board {
+        if let Some(board) = &p.options.progress {
             board.record_events(p.my_shard as usize, shard.events_executed);
             if p.my_shard == 0 {
                 board.record_tick(m.tick());
@@ -348,7 +372,7 @@ pub use worker::WorkerEngine;
 #[cfg(unix)]
 mod worker {
     use super::*;
-    use crate::simulator::SequentialEngine;
+    use crate::simulator::InProcessEngine;
     use crate::transport::{ProcessTransport, WorkerLink};
     use crate::wire::WireCodec;
     use std::time::Instant;
@@ -356,10 +380,10 @@ mod worker {
     /// One shard of a simulation running in its own OS process, driven
     /// over a [`WorkerLink`] by the parent hub.
     ///
-    /// Built with [`SequentialEngine::into_worker`] from a *fully
-    /// constructed* engine (every component registered, initial events
-    /// scheduled) that is identical in every worker — same
-    /// configuration, same seed. The conversion keeps only the
+    /// Built with [`InProcessEngine::into_worker`] from a *fully
+    /// constructed* one-shard engine (every component registered,
+    /// initial events scheduled) that is identical in every worker —
+    /// same configuration, same seed. The conversion keeps only the
     /// components this shard owns and the pending events targeting
     /// them; foreign slots become `None` and foreign events are
     /// dropped, because the owning worker holds its own identically
@@ -367,11 +391,12 @@ mod worker {
     /// full-length, so stamps and draws line up bit-for-bit with the
     /// other backends.
     ///
-    /// Differences from the in-process engines, by construction:
+    /// Differences from the in-process engine, by construction:
     /// trace records ship to the hub every round (so
     /// [`Engine::trace_records`] is empty here — the hub merges them),
-    /// and [`Engine::shard_metrics`] reports only this shard (the hub
-    /// collects the full set from every worker's DONE frame).
+    /// [`Engine::shard_metrics`] reports only this shard (the hub
+    /// collects the full set from every worker's DONE frame), and the
+    /// progress board is the hub's to publish.
     pub struct WorkerEngine<E> {
         shard: Shard<E>,
         shard_of: Vec<u32>,
@@ -379,23 +404,22 @@ mod worker {
         num_shards: usize,
         now: Time,
         ext_seq: u64,
-        trace_spec: Option<TraceSpec>,
-        watchdog: Tick,
-        sample_interval: Tick,
-        checkpoint_interval: Tick,
         last_progress: Tick,
+        options: EngineOptions,
         link: WorkerLink,
         host: HostRecorder,
     }
 
-    impl<E: WireCodec + Send + 'static> SequentialEngine<E> {
-        /// Converts this fully built engine into the `my_shard`-th of
-        /// `num_shards` worker shards, communicating through `link`.
+    impl<E: WireCodec + Send + 'static> InProcessEngine<E> {
+        /// Converts this fully built one-shard engine into the
+        /// `my_shard`-th of `num_shards` worker shards, communicating
+        /// through `link`. The engine's options carry over.
         ///
         /// # Panics
         ///
-        /// Panics if `num_shards` is zero, `my_shard` is out of range,
-        /// or `shard_of` is not exactly one entry per component.
+        /// Panics if the engine is already sharded, `num_shards` is
+        /// zero, `my_shard` is out of range, or `shard_of` is not exactly
+        /// one entry per component.
         pub fn into_worker(
             mut self,
             my_shard: u32,
@@ -403,55 +427,18 @@ mod worker {
             shard_of: Vec<u32>,
             link: WorkerLink,
         ) -> WorkerEngine<E> {
-            assert!(num_shards > 0, "need at least one shard");
             assert!(
                 (my_shard as usize) < num_shards,
                 "worker index out of range"
             );
-            assert_eq!(
-                shard_of.len(),
-                self.components.len(),
-                "shard map must cover every component"
-            );
-            assert!(
-                shard_of.iter().all(|&s| (s as usize) < num_shards),
-                "shard map entry out of range"
-            );
-            let n = self.components.len();
-            let mut shard = Shard {
-                components: Vec::with_capacity(n),
-                rngs: self.rngs.clone(),
-                seqs: self.seqs.clone(),
-                queue: EventQueue::new(),
-                batch: Vec::new(),
-                // Lifetime totals carry to shard 0, mirroring
-                // `into_sharded`, so summed counters agree.
-                events_executed: if my_shard == 0 {
-                    Engine::events_executed(&self)
-                } else {
-                    0
-                },
-                batches: 0,
-                batch_counts: [0; crate::engine::BATCH_BUCKETS],
-            };
-            shard.components.resize_with(n, || None);
-            for (idx, slot) in self.components.drain(..).enumerate() {
-                if shard_of[idx] == my_shard {
-                    shard.components[idx] = slot;
-                }
-            }
-            // Keep only locally targeted pending events; every worker
-            // scheduled the same initial events with the same stamps, so
-            // each foreign event exists — identically stamped — in its
-            // owning worker's queue.
-            let mut pending = Vec::new();
-            while self.queue.take_batch(&mut pending) > 0 {
-                for e in pending.drain(..) {
-                    if shard_of.get(e.target.index()).copied() == Some(my_shard) {
-                        shard.queue.push(e.target, e.time, e.payload);
-                    }
-                }
-            }
+            // Every worker scheduled the same initial events with the
+            // same stamps, so each foreign event exists — identically
+            // stamped — in its owning worker's queue.
+            let shard = self
+                .partition(num_shards, &shard_of)
+                .swap_remove(my_shard as usize);
+            let mut options = self.options;
+            options.progress = None;
             WorkerEngine {
                 shard,
                 shard_of,
@@ -459,13 +446,10 @@ mod worker {
                 num_shards,
                 now: self.now,
                 ext_seq: self.ext_seq,
-                trace_spec: self.trace.as_ref().map(|t| t.spec),
-                watchdog: self.watchdog,
-                sample_interval: self.sample_interval,
-                checkpoint_interval: 0,
                 last_progress: self.last_progress,
+                host: HostRecorder::with_sample(options.host_sample),
+                options,
                 link,
-                host: HostRecorder::new(),
             }
         }
     }
@@ -504,23 +488,18 @@ mod worker {
             // executed generation, which may be short of the boundary,
             // and recomputing from it would revisit the same edge
             // forever.
-            let mut next_ckpt = (self.checkpoint_interval > 0)
-                .then(|| next_edge_after(self.now.tick(), self.checkpoint_interval));
+            let interval = self.options.checkpoint_interval;
+            let mut next_ckpt = (interval > 0).then(|| next_edge_after(self.now.tick(), interval));
             let outcome = loop {
                 let bound = next_ckpt.map_or(tick_limit, |c| c.min(tick_limit));
                 let params = ProtocolParams {
                     my_shard: self.my_shard,
                     num_shards: self.num_shards,
                     tick_limit: bound,
-                    watchdog: self.watchdog,
-                    sample_interval: self.sample_interval,
                     start_now: self.now,
                     start_progress: self.last_progress,
-                    trace_spec: self.trace_spec,
                     shard_of: &self.shard_of,
-                    // The hub tracks live progress parent-side from the
-                    // per-round event deltas; workers publish nothing.
-                    progress_board: None,
+                    options: &self.options,
                 };
                 let result = run_shard_rounds::<E, ProcessTransport>(
                     &mut self.shard,
@@ -555,8 +534,7 @@ mod worker {
                             if let Err(e) = transport.checkpoint(Time::at(bound), &blob) {
                                 break RunOutcome::Failed(format!("transport: {e}"));
                             }
-                            next_ckpt =
-                                next_ckpt.and_then(|c| c.checked_add(self.checkpoint_interval));
+                            next_ckpt = next_ckpt.and_then(|c| c.checked_add(interval));
                             continue;
                         }
                         // Tell the hub how the run ended; a send failure here
@@ -630,23 +608,6 @@ mod worker {
             self.shard.queue.total_enqueued()
         }
 
-        fn set_watchdog(&mut self, window: Tick) {
-            self.watchdog = window;
-        }
-
-        fn set_sampler(&mut self, interval: Tick) {
-            self.sample_interval = interval;
-        }
-
-        fn set_checkpoint_interval(&mut self, interval: Tick) {
-            self.checkpoint_interval = interval;
-        }
-
-        fn set_host_profiling(&mut self, sample: u32) {
-            self.host.set_sample(sample);
-            self.host.reset_epoch();
-        }
-
         /// Only this worker's shard; the hub collects the full set from
         /// the DONE frames.
         fn host_times(&self) -> Vec<crate::host::HostShardTimes> {
@@ -697,14 +658,10 @@ mod worker {
             inner().is_some()
         }
 
-        /// Arms record collection. The ring `capacity` is ignored here:
-        /// the buffer lives hub-side, where the per-round merge happens.
-        fn set_trace(&mut self, spec: TraceSpec, _capacity: usize) {
-            self.trace_spec = Some(spec);
-        }
-
+        /// The ring itself lives hub-side, where the per-round merge
+        /// happens.
         fn trace_enabled(&self) -> bool {
-            self.trace_spec.is_some()
+            self.options.trace.is_some()
         }
 
         /// Always empty: records ship to the hub every round.

@@ -1,97 +1,80 @@
-//! The sequential engine: component storage, calendar-queue executor, and
-//! run statistics (paper §III-A, Figure 1).
+//! The in-process engine: component storage, sharding, and the driver
+//! of the round protocol on the calling process (paper §III-A, Figure 1).
 //!
-//! This is the original `Simulator` (the name survives as a type alias),
-//! now one of two [`Engine`](crate::Engine) backends. It executes the
-//! whole simulation on the calling thread, draining same-`(tick,
-//! epsilon)` *generations* in canonical stamp order — see the
-//! [`engine`](crate::engine) module for the determinism contract shared
-//! with the sharded backend.
+//! Components are registered on one shard, which runs inline on the
+//! calling thread through a lock-free one-shard transport: the fold
+//! returns the local queue head, the exchange only flushes trace
+//! records, and every scheduled event goes straight into the one queue.
+//! [`InProcessEngine::into_sharded`] partitions the components across
+//! more shards, one thread each, synchronized by spin barriers. Either
+//! way the run loop is [`protocol`](crate::protocol)'s — see the
+//! [`engine`](crate::engine) module for the determinism contract every
+//! shard count honors.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::component::{Component, ComponentId};
 use crate::engine::{
-    flush_trace, log2_bucket, next_edge_after, Context, Engine, EngineMetrics, EventStamp,
-    RunOutcome, RunStats, SinkRef, Stamped, TaggedTrace, TraceSink, BATCH_BUCKETS, EXTERNAL_SRC,
+    Engine, EngineMetrics, EngineOptions, EventStamp, RunStats, Stamped, EXTERNAL_SRC,
 };
-use crate::event::{EventEntry, EventQueue};
-use crate::host::{HostRecorder, HostRoundSlice, HostShardTimes, ProgressShared};
+use crate::host::{HostRecorder, HostShardTimes};
+use crate::protocol::{run_shard_rounds, ProtocolParams, Shard};
 use crate::rng::Rng;
 use crate::time::{Tick, Time};
-use crate::trace::{TraceBuffer, TraceEvent, TraceSpec};
+use crate::trace::{TraceBuffer, TraceEvent};
+use crate::transport::{LocalTransport, PanicFence, ThreadShared, ThreadTransport};
 
-/// Trace collection state: the spec plus the ring it fills.
-#[derive(Debug)]
-pub(crate) struct TraceState {
-    pub(crate) spec: TraceSpec,
-    pub(crate) buffer: TraceBuffer,
-}
-
-/// The single-threaded discrete event engine: owns the components, the
-/// global event queue, and the executor loop.
+/// The in-process discrete event engine: owns the components, one event
+/// queue per shard, and the trace ring, and runs the round protocol on
+/// the calling thread (one shard) or on one thread per shard.
 ///
 /// See the [crate-level documentation](crate) for a complete example.
-pub struct SequentialEngine<E> {
-    pub(crate) components: Vec<Option<Box<dyn Component<E>>>>,
-    /// Per-component random streams, derived from `(seed, index)`.
-    pub(crate) rngs: Vec<Rng>,
-    /// Per-component send counters (event stamp sources).
-    pub(crate) seqs: Vec<u64>,
-    pub(crate) queue: EventQueue<Stamped<E>>,
-    /// Scratch buffer for batch draining, reused across `run` calls.
-    batch: Vec<EventEntry<Stamped<E>>>,
-    /// Scratch buffer for per-generation trace records.
-    trace_scratch: Vec<TaggedTrace>,
+pub struct InProcessEngine<E> {
+    /// Exactly one shard until [`InProcessEngine::into_sharded`].
+    shards: Vec<Shard<E>>,
+    /// Component index → owning shard.
+    shard_of: Vec<u32>,
+    seed: u64,
     pub(crate) now: Time,
-    pub(crate) seed: u64,
-    /// Send counter for external ([`SequentialEngine::schedule`]) events.
+    /// Send counter for external ([`InProcessEngine::schedule`]) events.
     pub(crate) ext_seq: u64,
-    pub(crate) trace: Option<TraceState>,
-    /// No-progress watchdog window in ticks; 0 = disarmed.
-    pub(crate) watchdog: Tick,
-    /// Sampling window width in ticks; 0 = disarmed.
-    pub(crate) sample_interval: Tick,
-    /// Tick of the last [`Context::progress`] report.
+    /// Tick of the last globally agreed progress report.
     pub(crate) last_progress: Tick,
-    events_executed: u64,
-    batches: u64,
-    batch_counts: [u64; BATCH_BUCKETS],
-    /// Out-of-band host-time profiler (disabled by default).
-    host: HostRecorder,
-    /// Out-of-band live-progress board, written after each batch.
-    progress_board: Option<Arc<ProgressShared>>,
+    pub(crate) options: EngineOptions,
+    /// The trace ring; `Some` exactly when `options.trace` is.
+    trace: Option<TraceBuffer>,
+    /// One out-of-band host-time recorder per shard.
+    host: Vec<HostRecorder>,
 }
 
-/// The historical name of the sequential engine. Existing models,
-/// examples, and tests keep using `Simulator`; code that selects a
-/// backend at run time uses the [`Engine`] trait instead.
-pub type Simulator<E> = SequentialEngine<E>;
+/// The historical name of the in-process engine. Models, examples, and
+/// tests keep using `Simulator`; code that selects a backend at run time
+/// uses the [`Engine`] trait instead.
+pub type Simulator<E> = InProcessEngine<E>;
 
-impl<E: 'static> SequentialEngine<E> {
-    /// Creates an engine whose random streams are derived from `seed`.
+impl<E: Send + 'static> InProcessEngine<E> {
+    /// Creates an engine whose random streams are derived from `seed`,
+    /// with every plane disarmed.
     pub fn new(seed: u64) -> Self {
-        SequentialEngine {
-            components: Vec::new(),
-            rngs: Vec::new(),
-            seqs: Vec::new(),
-            queue: EventQueue::new(),
-            batch: Vec::new(),
-            trace_scratch: Vec::new(),
-            now: Time::ZERO,
+        Self::with_options(seed, EngineOptions::default())
+    }
+
+    /// Creates an engine whose random streams are derived from `seed`,
+    /// with the planes `options` arms.
+    pub fn with_options(seed: u64, options: EngineOptions) -> Self {
+        InProcessEngine {
+            shards: vec![Shard::empty(0, &[], &[])],
+            shard_of: Vec::new(),
             seed,
+            now: Time::ZERO,
             ext_seq: 0,
-            trace: None,
-            watchdog: 0,
-            sample_interval: 0,
             last_progress: 0,
-            events_executed: 0,
-            batches: 0,
-            batch_counts: [0; BATCH_BUCKETS],
-            host: HostRecorder::new(),
-            progress_board: None,
+            trace: options
+                .trace
+                .map(|(_, capacity)| TraceBuffer::with_capacity(capacity)),
+            host: vec![HostRecorder::with_sample(options.host_sample)],
+            options,
         }
     }
 
@@ -99,19 +82,23 @@ impl<E: 'static> SequentialEngine<E> {
     ///
     /// # Panics
     ///
-    /// Panics if the component count would exceed the 32-bit id space.
+    /// Panics if the engine is already sharded, or if the component
+    /// count would exceed the 32-bit id space.
     pub fn add_component(&mut self, component: Box<dyn Component<E>>) -> ComponentId {
-        let id = ComponentId::try_from_index(self.components.len())
+        assert_eq!(self.shards.len(), 1, "register components before sharding");
+        let id = ComponentId::try_from_index(self.shard_of.len())
             .expect("component count exceeds the 32-bit id space");
-        self.rngs.push(Rng::stream(self.seed, id.0 as u64));
-        self.seqs.push(0);
-        self.components.push(Some(component));
+        let shard = &mut self.shards[0];
+        shard.rngs.push(Rng::stream(self.seed, id.0 as u64));
+        shard.seqs.push(0);
+        shard.components.push(Some(component));
+        self.shard_of.push(0);
         id
     }
 
     /// Number of registered components.
     pub fn num_components(&self) -> usize {
-        self.components.len()
+        self.shard_of.len()
     }
 
     /// Current simulation time (time of the most recent event).
@@ -131,14 +118,22 @@ impl<E: 'static> SequentialEngine<E> {
             seq: self.ext_seq,
         };
         self.ext_seq += 1;
-        self.queue.push(target, time, Stamped { stamp, payload });
+        // Unknown targets go to shard 0, which reports the failure.
+        let owner = self.shard_of.get(target.index()).copied().unwrap_or(0) as usize;
+        self.shards[owner]
+            .queue
+            .push(target, time, Stamped { stamp, payload });
     }
 
-    /// Borrows a component by id.
-    ///
-    /// Returns `None` for an unknown id.
+    /// Borrows a component by id. `None` for an unknown id.
     pub fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-        self.components.get(id.index()).and_then(|c| c.as_deref())
+        let owner = *self.shard_of.get(id.index())? as usize;
+        self.shards[owner].components[id.index()].as_deref()
+    }
+
+    fn component_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
+        let owner = *self.shard_of.get(id.index())? as usize;
+        self.shards[owner].components[id.index()].as_deref_mut()
     }
 
     /// Downcasts a component to its concrete type for post-run inspection.
@@ -147,57 +142,68 @@ impl<E: 'static> SequentialEngine<E> {
             .and_then(|c| c.as_any().downcast_ref::<T>())
     }
 
-    /// Mutable variant of [`SequentialEngine::component_as`].
+    /// Mutable variant of [`InProcessEngine::component_as`].
     pub fn component_as_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
-        self.components
-            .get_mut(id.index())
-            .and_then(|c| c.as_deref_mut())
+        self.component_mut(id)
             .and_then(|c| c.as_any_mut().downcast_mut::<T>())
     }
 
-    /// Arms the no-progress watchdog (see [`Engine::set_watchdog`]).
-    pub fn set_watchdog(&mut self, window: Tick) {
-        self.watchdog = window;
+    /// Converts this one-shard engine into `num_shards` shards, assigning
+    /// each component `c` to shard `shard_of[c]`; every shard runs on its
+    /// own thread. Pending events move to their target's shard;
+    /// simulation time, options, trace ring, and per-component random
+    /// streams are preserved, so a run may even be split across the
+    /// conversion at a pause.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine is already sharded, `num_shards` is zero,
+    /// `shard_of` is not exactly one entry per registered component, or
+    /// any entry is out of range.
+    pub fn into_sharded(mut self, num_shards: usize, shard_of: Vec<u32>) -> Self {
+        self.shards = self.partition(num_shards, &shard_of);
+        self.shard_of = shard_of;
+        self.host = (0..num_shards)
+            .map(|_| HostRecorder::with_sample(self.options.host_sample))
+            .collect();
+        self
     }
 
-    /// Arms the windowed sampler (see [`Engine::set_sampler`]).
-    pub fn set_sampler(&mut self, interval: Tick) {
-        self.sample_interval = interval;
-    }
-
-    /// Enables trace collection (see [`Engine::set_trace`]).
-    pub fn set_trace(&mut self, spec: TraceSpec, capacity: usize) {
-        self.trace = Some(TraceState {
-            spec,
-            buffer: TraceBuffer::with_capacity(capacity),
-        });
-    }
-
-    /// Folds one finished (or aborted) batch into the engine counters.
-    #[inline]
-    fn record_batch(&mut self, done: u64) {
-        if done == 0 {
-            return;
+    /// Cuts the one shard into `num_shards` per `shard_of`. Lifetime
+    /// executor counters stay with shard 0, so summed totals survive the
+    /// cut; per-component random streams and send counters are copied
+    /// full-length into every shard (only the owner's entries are live).
+    pub(crate) fn partition(&mut self, num_shards: usize, shard_of: &[u32]) -> Vec<Shard<E>> {
+        assert_eq!(self.shards.len(), 1, "engine is already sharded");
+        assert!(num_shards > 0, "need at least one shard");
+        assert_eq!(
+            shard_of.len(),
+            self.shard_of.len(),
+            "shard map must cover every component"
+        );
+        assert!(
+            shard_of.iter().all(|&s| (s as usize) < num_shards),
+            "shard map entry out of range"
+        );
+        let mut base = self.shards.pop().expect("one shard");
+        let n = base.components.len();
+        let mut shards: Vec<Shard<E>> = (0..num_shards)
+            .map(|_| Shard::empty(n, &base.rngs, &base.seqs))
+            .collect();
+        shards[0].events_executed = base.events_executed;
+        shards[0].batches = base.batches;
+        shards[0].batch_counts = base.batch_counts;
+        for (idx, slot) in base.components.iter_mut().enumerate() {
+            shards[shard_of[idx] as usize].components[idx] = slot.take();
         }
-        self.events_executed += done;
-        self.batches += 1;
-        self.batch_counts[log2_bucket(done)] += 1;
-    }
-
-    /// Engine self-metrics accumulated since construction.
-    pub fn metrics(&self) -> EngineMetrics {
-        EngineMetrics {
-            events_executed: self.events_executed,
-            batches: self.batches,
-            batch_counts: self.batch_counts,
-            queue_len: self.queue.len(),
-            queue_high_water: self.queue.high_water_mark(),
-            total_enqueued: self.queue.total_enqueued(),
-            horizon: self.queue.horizon(),
-            horizon_resizes: self.queue.horizon_resizes(),
-            overflow_spills: self.queue.overflow_spills(),
-            overflow_len: self.queue.overflow_len(),
+        let mut pending = Vec::new();
+        while base.queue.take_batch(&mut pending) > 0 {
+            for e in pending.drain(..) {
+                let owner = shard_of.get(e.target.index()).copied().unwrap_or(0) as usize;
+                shards[owner].queue.push(e.target, e.time, e.payload);
+            }
         }
+        shards
     }
 
     /// Runs until the event queue drains, a component stops or fails.
@@ -205,207 +211,90 @@ impl<E: 'static> SequentialEngine<E> {
         self.run_until(Tick::MAX)
     }
 
-    /// Runs until the queue drains, a component stops or fails, or the next
-    /// event would execute at a tick strictly greater than `tick_limit`.
-    ///
-    /// The executor drains the queue in same-`(tick, epsilon)` generations
-    /// sorted by [`EventStamp`]: every event in a generation is known to be
-    /// ready, so the hot loop dispatches the whole slice without
-    /// re-examining the queue between events. If a component stops or fails
-    /// mid-generation, the unexecuted remainder is requeued ahead of
-    /// anything scheduled during the generation, so resuming the run
-    /// observes the exact canonical order.
+    /// Runs until every queue drains, a component stops or fails, or the
+    /// next generation would execute at a tick strictly greater than
+    /// `tick_limit`. Every shard runs the crate's one round loop (the
+    /// `protocol` module).
     pub fn run_until(&mut self, tick_limit: Tick) -> RunStats {
         let start = Instant::now();
-        let start_events = self.events_executed;
-        let mut stop_requested = false;
-        let mut failure: Option<String> = None;
-        let mut progress = false;
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut scratch = std::mem::take(&mut self.trace_scratch);
-        let trace_spec = self.trace.as_ref().map(|t| t.spec);
-        // The next window edge is a pure function of (now, interval), so a
-        // paused-and-resumed run samples exactly the edges a continuous run
-        // would: every edge up to `now` was crossed before `now` advanced.
-        let mut next_edge = (self.sample_interval > 0)
-            .then(|| next_edge_after(self.now.tick(), self.sample_interval));
-        let outcome = 'run: loop {
-            // No-progress watchdog: trips when the next runnable event
-            // lies more than `watchdog` ticks past the last progress
-            // report. Checked before the batch is taken, so the pending
-            // queue survives intact for diagnostics.
-            if self.watchdog > 0 {
-                if let Some(next) = self.queue.peek_time() {
-                    if next.tick() <= tick_limit
-                        && next.tick().saturating_sub(self.last_progress) > self.watchdog
-                    {
-                        break RunOutcome::Watchdog {
-                            last_progress: self.last_progress,
-                        };
-                    }
-                }
-            }
-            // Host-time probes are strictly out-of-band: wall clocks are
-            // read around phases but never influence which events run or
-            // in what order, so profiling cannot perturb determinism.
-            let profiling = self.host.enabled();
-            let t_drain = profiling.then(Instant::now);
-            let took = self.queue.take_batch_until(tick_limit, &mut batch);
-            if let Some(t0) = t_drain {
-                self.host.times.drain_ns += t0.elapsed().as_nanos() as u64;
-            }
-            let Some(next_time) = took else {
-                break if self.queue.is_empty() {
-                    RunOutcome::Drained
-                } else {
-                    RunOutcome::TickLimit
-                };
-            };
-            debug_assert!(next_time >= self.now, "event queue went backwards");
-            // Window edges crossed by this generation close before any of
-            // its events run: everything below the edge has executed,
-            // nothing at or past it has (see `Engine::set_sampler`).
-            if next_edge.is_some_and(|e| e <= next_time.tick()) {
-                let t_edge = profiling.then(Instant::now);
-                while let Some(edge) = next_edge.filter(|&e| e <= next_time.tick()) {
-                    for slot in self.components.iter_mut() {
-                        if let Some(c) = slot.as_deref_mut() {
-                            c.sample(edge);
-                        }
-                    }
-                    next_edge = edge.checked_add(self.sample_interval);
-                }
-                if let Some(t0) = t_edge {
-                    self.host.times.sample_edge_ns += t0.elapsed().as_nanos() as u64;
-                }
-            }
-            self.now = next_time;
-            if batch.len() > 1 {
-                // Canonical generation order (see the engine module docs):
-                // unique stamps make this a deterministic total order.
-                batch.sort_unstable_by_key(|e| e.payload.stamp);
-            }
-
-            // Engine stats update once per generation, not per event:
-            // `done` counts executed events in a register and folds into
-            // the engine's counters when the generation ends (normally or
-            // via an abort path), keeping the per-event loop free of stats
-            // writes.
-            let mut done = 0u64;
-            // One batch in `sample` additionally gets per-event
-            // component-class attribution.
-            let sampled = profiling && self.host.batch_sampled();
-            let exec_start_ns = profiling.then(|| self.host.now_ns());
-            let t_exec = profiling.then(Instant::now);
-            scratch.clear();
-            let mut pending = batch.drain(..);
-            while let Some(entry) = pending.next() {
-                let idx = entry.target.index();
-                let slot = match self.components.get_mut(idx) {
-                    Some(slot) => slot,
-                    None => {
-                        let target = entry.target;
-                        self.record_batch(done + 1);
-                        self.queue.requeue_front(pending);
-                        break 'run RunOutcome::Failed(format!(
-                            "event targeted unregistered {target}"
-                        ));
-                    }
-                };
-                let mut component = slot.take().expect("component re-entered while active");
-                let mut ctx = Context {
-                    now: self.now,
-                    self_id: entry.target,
-                    sink: SinkRef::Local(&mut self.queue),
-                    seq: &mut self.seqs[idx],
-                    rng: &mut self.rngs[idx],
-                    stop_requested: &mut stop_requested,
-                    failure: &mut failure,
-                    progress: &mut progress,
-                    trace: trace_spec.map(|spec| TraceSink {
-                        spec,
-                        stamp: entry.payload.stamp,
-                        recno: 0,
-                        out: &mut scratch,
-                    }),
-                };
-                if sampled {
-                    let t_ev = Instant::now();
-                    component.handle(&mut ctx, entry.payload.payload);
-                    let ev_ns = t_ev.elapsed().as_nanos() as u64;
-                    let class = component.host_class();
-                    self.components[idx] = Some(component);
-                    self.host.times.add_class(class, ev_ns, 1);
-                    self.host.times.sampled_events += 1;
-                } else {
-                    component.handle(&mut ctx, entry.payload.payload);
-                    self.components[idx] = Some(component);
-                }
-                done += 1;
-
-                if let Some(msg) = failure.take() {
-                    self.record_batch(done);
-                    self.queue.requeue_front(pending);
-                    break 'run RunOutcome::Failed(msg);
-                }
-                if stop_requested {
-                    self.record_batch(done);
-                    self.queue.requeue_front(pending);
-                    break 'run RunOutcome::Stopped;
-                }
-            }
-            self.record_batch(done);
-            if let Some(t0) = t_exec {
-                let exec_ns = t0.elapsed().as_nanos() as u64;
-                self.host.times.execute_ns += exec_ns;
-                if sampled {
-                    self.host.times.push_slice(HostRoundSlice {
-                        start_ns: exec_start_ns.unwrap_or(0),
-                        tick: self.now.tick(),
-                        events: done,
-                        execute_ns: exec_ns,
-                        fold_ns: 0,
-                        exchange_ns: 0,
-                    });
-                }
-            }
-            if let Some(board) = &self.progress_board {
-                board.record_events(0, self.events_executed);
-                board.record_tick(self.now.tick());
-                board.add_round();
-            }
-            if progress {
-                self.last_progress = self.now.tick();
-                progress = false;
-            }
-            if let Some(t) = &mut self.trace {
-                flush_trace(&mut t.buffer, &mut scratch);
-            }
+        let start_events = Engine::events_executed(self);
+        let n = self.shards.len();
+        let (start_now, start_progress) = (self.now, self.last_progress);
+        let (shard_of, options) = (&self.shard_of, &self.options);
+        let params = |s: usize| ProtocolParams {
+            my_shard: s as u32,
+            num_shards: n,
+            tick_limit,
+            start_now,
+            start_progress,
+            shard_of,
+            options,
         };
-        // Records made by events that did execute survive an abort.
-        if let Some(t) = &mut self.trace {
-            flush_trace(&mut t.buffer, &mut scratch);
-        }
-        self.batch = batch;
-        self.trace_scratch = scratch;
+        let (outcome, end_now, end_progress) = if n == 1 {
+            let mut transport = LocalTransport::new(self.trace.as_mut());
+            run_shard_rounds(
+                &mut self.shards[0],
+                &params(0),
+                &mut transport,
+                &mut self.host[0],
+            )
+            .expect("the in-process transport is infallible")
+        } else {
+            let shared: ThreadShared<E> = ThreadShared::new(n, start_progress);
+            let mut buffer = self.trace.as_mut();
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .zip(self.host.iter_mut())
+                    .enumerate()
+                    .map(|(s, (shard, host))| {
+                        let buffer = if s == 0 { buffer.take() } else { None };
+                        let (shared, params) = (&shared, params(s));
+                        scope.spawn(move || {
+                            let mut fence = PanicFence::arm(&shared.poisoned);
+                            let mut transport = ThreadTransport::new(shared, s, buffer);
+                            let r = run_shard_rounds(shard, &params, &mut transport, host)
+                                .expect("the in-process transport is infallible");
+                            fence.disarm();
+                            r
+                        })
+                    })
+                    .collect();
+                let mut agreed = None;
+                for h in handles {
+                    let r = h.join().expect("shard thread panicked");
+                    debug_assert!(
+                        agreed.as_ref().is_none_or(|a| *a == r),
+                        "shards disagreed on the run outcome"
+                    );
+                    agreed = Some(r);
+                }
+                agreed.expect("at least one shard")
+            })
+        };
+        // `end_now` is the time of the last *executed* generation: a
+        // tick-limit pause stops before advancing.
+        self.now = end_now;
+        self.last_progress = end_progress;
         RunStats {
-            events_executed: self.events_executed - start_events,
+            events_executed: Engine::events_executed(self) - start_events,
             end_time: self.now,
-            queue_high_water: self.queue.high_water_mark(),
-            total_enqueued: self.queue.total_enqueued(),
+            queue_high_water: self.shards.iter().map(|s| s.queue.high_water_mark()).sum(),
+            total_enqueued: Engine::total_enqueued(self),
             wall: start.elapsed(),
             outcome,
         }
     }
 }
 
-impl<E: 'static> Engine<E> for SequentialEngine<E> {
+impl<E: Send + 'static> Engine<E> for InProcessEngine<E> {
     fn schedule(&mut self, target: ComponentId, time: Time, payload: E) {
-        SequentialEngine::schedule(self, target, time, payload);
+        InProcessEngine::schedule(self, target, time, payload);
     }
 
     fn run_until(&mut self, tick_limit: Tick) -> RunStats {
-        SequentialEngine::run_until(self, tick_limit)
+        InProcessEngine::run_until(self, tick_limit)
     }
 
     fn now(&self) -> Time {
@@ -413,62 +302,31 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
     }
 
     fn num_components(&self) -> usize {
-        self.components.len()
+        self.shard_of.len()
     }
 
     fn num_shards(&self) -> usize {
-        1
+        self.shards.len()
     }
 
     fn component(&self, id: ComponentId) -> Option<&dyn Component<E>> {
-        SequentialEngine::component(self, id)
+        InProcessEngine::component(self, id)
     }
 
     fn component_dyn_mut(&mut self, id: ComponentId) -> Option<&mut dyn Component<E>> {
-        self.components
-            .get_mut(id.index())
-            .and_then(|c| c.as_deref_mut())
+        self.component_mut(id)
     }
 
     fn shard_metrics(&self) -> Vec<EngineMetrics> {
-        vec![self.metrics()]
+        self.shards.iter().map(|s| s.metrics()).collect()
     }
 
     fn events_executed(&self) -> u64 {
-        self.events_executed
+        self.shards.iter().map(|s| s.events_executed).sum()
     }
 
     fn total_enqueued(&self) -> u64 {
-        self.queue.total_enqueued()
-    }
-
-    fn set_watchdog(&mut self, window: Tick) {
-        SequentialEngine::set_watchdog(self, window);
-    }
-
-    fn set_sampler(&mut self, interval: Tick) {
-        SequentialEngine::set_sampler(self, interval);
-    }
-
-    fn set_trace(&mut self, spec: TraceSpec, capacity: usize) {
-        SequentialEngine::set_trace(self, spec, capacity);
-    }
-
-    fn set_host_profiling(&mut self, sample: u32) {
-        self.host.set_sample(sample);
-        self.host.reset_epoch();
-    }
-
-    fn host_times(&self) -> Vec<HostShardTimes> {
-        if self.host.enabled() {
-            vec![self.host.times.clone()]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn set_progress(&mut self, progress: Arc<ProgressShared>) {
-        self.progress_board = Some(progress);
+        self.shards.iter().map(|s| s.queue.total_enqueued()).sum()
     }
 
     fn trace_enabled(&self) -> bool {
@@ -476,33 +334,24 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
     }
 
     fn trace_records(&self) -> Vec<TraceEvent> {
-        self.trace
-            .as_ref()
-            .map(|t| t.buffer.records())
-            .unwrap_or_default()
+        self.trace.as_ref().map(|t| t.records()).unwrap_or_default()
     }
 
+    /// Writes the uniform engine blob: trace section, shard count, then
+    /// one canonical shard blob per shard (engine-global scalars repeated
+    /// in each — see the `snapshot` module).
     fn save_state(&self, out: &mut Vec<u8>) -> bool
     where
         E: crate::wire::WireCodec,
     {
-        crate::snapshot::put_trace(out, self.trace.as_ref().map(|t| &t.buffer));
-        crate::wire::put_varint(out, 1);
+        crate::snapshot::put_trace(out, self.trace.as_ref());
+        crate::wire::put_varint(out, self.shards.len() as u64);
         let mut blob = Vec::new();
-        crate::snapshot::save_shard(
-            &mut blob,
-            self.now,
-            self.ext_seq,
-            self.last_progress,
-            self.events_executed,
-            self.batches,
-            &self.batch_counts,
-            &self.queue,
-            &self.components,
-            &self.rngs,
-            &self.seqs,
-        );
-        crate::wire::put_bytes(out, &blob);
+        for shard in &self.shards {
+            blob.clear();
+            shard.save_state(self.now, self.ext_seq, self.last_progress, &mut blob);
+            crate::wire::put_bytes(out, &blob);
+        }
         true
     }
 
@@ -511,40 +360,45 @@ impl<E: 'static> Engine<E> for SequentialEngine<E> {
         E: crate::wire::WireCodec,
     {
         let mut inner = || -> Option<()> {
-            crate::snapshot::get_trace(buf, self.trace.as_mut().map(|t| &mut t.buffer))?;
-            if crate::wire::get_varint(buf)? != 1 {
-                return None; // shard-count mismatch: not a sequential state
-            }
-            let mut blob = crate::wire::get_bytes(buf)?;
-            let s = crate::snapshot::load_shard(
-                &mut blob,
-                &mut self.queue,
-                &mut self.components,
-                &mut self.rngs,
-                &mut self.seqs,
-            )?;
-            if !blob.is_empty() {
+            crate::snapshot::get_trace(buf, self.trace.as_mut())?;
+            if crate::wire::get_varint(buf)? != self.shards.len() as u64 {
                 return None;
             }
+            let mut scalars = None;
+            for shard in self.shards.iter_mut() {
+                let mut blob = crate::wire::get_bytes(buf)?;
+                scalars = Some(shard.load_state(&mut blob)?);
+                if !blob.is_empty() {
+                    return None;
+                }
+            }
+            let s = scalars?;
             self.now = s.now;
             self.ext_seq = s.ext_seq;
             self.last_progress = s.last_progress;
-            self.events_executed = s.events_executed;
-            self.batches = s.batches;
-            self.batch_counts = s.batch_counts;
             Some(())
         };
         inner().is_some()
     }
+
+    fn host_times(&self) -> Vec<HostShardTimes> {
+        if self.options.host_sample == 0 {
+            return Vec::new();
+        }
+        self.host.iter().map(|h| h.times.clone()).collect()
+    }
 }
 
-impl<E> fmt::Debug for SequentialEngine<E> {
+impl<E> fmt::Debug for InProcessEngine<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SequentialEngine")
-            .field("components", &self.components.len())
-            .field("pending_events", &self.queue.len())
+        f.debug_struct("InProcessEngine")
+            .field("shards", &self.shards.len())
+            .field("components", &self.shard_of.len())
+            .field(
+                "pending_events",
+                &self.shards.iter().map(|s| s.queue.len()).sum::<usize>(),
+            )
             .field("now", &self.now)
-            .field("events_executed", &self.events_executed)
             .finish()
     }
 }
@@ -552,7 +406,19 @@ impl<E> fmt::Debug for SequentialEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Context, RunOutcome, TraceSpec};
     use std::any::Any;
+
+    fn metrics<E: Send + 'static>(sim: &Simulator<E>) -> EngineMetrics {
+        Engine::shard_metrics(sim).remove(0)
+    }
+
+    fn watchdog(window: Tick) -> EngineOptions {
+        EngineOptions {
+            watchdog: window,
+            ..EngineOptions::default()
+        }
+    }
 
     #[derive(Debug, Clone, PartialEq)]
     enum Ev {
@@ -721,7 +587,7 @@ mod tests {
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Drained);
-        let m = sim.metrics();
+        let m = metrics(&sim);
         assert_eq!(m.events_executed, stats.events_executed);
         assert_eq!(m.batch_counts.iter().sum::<u64>(), m.batches);
         // Ping-pong runs one event per (tick, epsilon): all batches size 1.
@@ -739,18 +605,19 @@ mod tests {
             received: vec![],
             limit: 0,
         }));
-        // Three same-time events; the second stops the run mid-batch.
+        // Three same-time events; the second stops the run, which halts
+        // at the end of the generation.
         sim.schedule(a, Time::at(1), Ev::Ping(0));
         sim.schedule(a, Time::at(1), Ev::Stop);
         sim.schedule(a, Time::at(1), Ev::Ping(1));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Stopped);
-        assert_eq!(stats.events_executed, 2);
-        let m = sim.metrics();
-        assert_eq!(m.events_executed, 2);
+        assert_eq!(stats.events_executed, 3);
+        let m = metrics(&sim);
+        assert_eq!(m.events_executed, 3);
         assert_eq!(m.batches, 1);
-        assert_eq!(m.batch_counts[2], 1, "partial batch of 2 lands in bucket 2");
-        assert_eq!(m.queue_len, 1, "unexecuted remainder stays pending");
+        assert_eq!(m.batch_counts[2], 1, "batch of 3 lands in bucket 2");
+        assert_eq!(m.queue_len, 0, "the whole generation executed");
     }
 
     #[test]
@@ -786,15 +653,18 @@ mod tests {
 
     #[test]
     fn context_trace_collects_through_spec() {
-        let mut sim = Simulator::new(0);
-        let a = sim.add_component(Box::new(TracerComp));
-        sim.set_trace(
-            TraceSpec {
-                kinds: 0b01, // kind 0 only
-                ..TraceSpec::default()
+        let spec = TraceSpec {
+            kinds: 0b01, // kind 0 only
+            ..TraceSpec::default()
+        };
+        let mut sim = Simulator::with_options(
+            0,
+            EngineOptions {
+                trace: Some((spec, 16)),
+                ..EngineOptions::default()
             },
-            16,
         );
+        let a = sim.add_component(Box::new(TracerComp));
         sim.schedule(a, Time::at(1), Ev::Ping(7));
         sim.schedule(a, Time::at(2), Ev::Ping(8));
         sim.run();
@@ -837,32 +707,30 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_unproductive_churn() {
-        let mut sim = Simulator::new(0);
+        let mut sim = Simulator::with_options(0, watchdog(20));
         let a = sim.add_component(Box::new(Stepper {
             step: 5,
             count: 1000,
             productive: false,
         }));
-        sim.set_watchdog(20);
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Watchdog { last_progress: 0 });
         assert!(!stats.outcome.is_ok());
         // The pending queue survives for diagnostics.
-        assert!(sim.metrics().queue_len > 0);
+        assert!(metrics(&sim).queue_len > 0);
         // The trip is prompt: the first event past the window breaks.
         assert!(sim.now().tick() <= 25);
     }
 
     #[test]
     fn watchdog_resets_on_progress() {
-        let mut sim = Simulator::new(0);
+        let mut sim = Simulator::with_options(0, watchdog(20));
         let a = sim.add_component(Box::new(Stepper {
             step: 5,
             count: 50,
             productive: true,
         }));
-        sim.set_watchdog(20);
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run();
         assert_eq!(stats.outcome, RunOutcome::Drained);
@@ -884,13 +752,12 @@ mod tests {
     fn watchdog_defers_to_tick_limit() {
         // Events beyond the tick limit must not trip the watchdog: the
         // run pauses as TickLimit exactly as without one.
-        let mut sim = Simulator::new(0);
+        let mut sim = Simulator::with_options(0, watchdog(30));
         let a = sim.add_component(Box::new(Stepper {
             step: 100,
             count: 5,
             productive: false,
         }));
-        sim.set_watchdog(30);
         sim.schedule(a, Time::at(0), Ev::Ping(0));
         let stats = sim.run_until(50);
         assert_eq!(stats.outcome, RunOutcome::TickLimit);
@@ -910,5 +777,268 @@ mod tests {
             .component_as::<Echo>(a)
             .expect("downcast through dyn Engine");
         assert_eq!(echo.received, vec![0, 2, 4]);
+    }
+}
+
+#[cfg(test)]
+mod sharded_tests {
+    use super::*;
+    use crate::{Context, RunOutcome, TraceSpec};
+    use std::any::Any;
+
+    #[derive(Debug, Clone)]
+    enum Ev {
+        Ping(u32),
+        Stop,
+        Fail,
+    }
+
+    /// A ring relay: forwards a token to the next component, drawing one
+    /// random value and tracing each hop.
+    struct Relay {
+        next: ComponentId,
+        hops_left: u32,
+        seen: Vec<u32>,
+        draws: Vec<u64>,
+        productive: bool,
+    }
+
+    impl Component<Ev> for Relay {
+        fn name(&self) -> &str {
+            "relay"
+        }
+        fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
+            match event {
+                Ev::Ping(n) => {
+                    self.seen.push(n);
+                    self.draws.push(ctx.rng().gen_u64());
+                    if self.productive {
+                        ctx.progress();
+                    }
+                    ctx.trace(0, ctx.self_id().index() as u32, n as u64, 0);
+                    if self.hops_left > 0 {
+                        self.hops_left -= 1;
+                        ctx.schedule(self.next, ctx.now().plus_ticks(1), Ev::Ping(n + 1));
+                    }
+                }
+                Ev::Stop => ctx.stop(),
+                Ev::Fail => ctx.fail("sharded failure"),
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Builds a ring of `size` relays with `tokens` tokens injected at
+    /// evenly spaced components, each forwarded `hops` times.
+    fn build_ring(seed: u64, size: usize, tokens: usize, hops: u32) -> Simulator<Ev> {
+        build_ring_with(seed, size, tokens, hops, false, EngineOptions::default())
+    }
+
+    fn build_ring_with(
+        seed: u64,
+        size: usize,
+        tokens: usize,
+        hops: u32,
+        productive: bool,
+        options: EngineOptions,
+    ) -> Simulator<Ev> {
+        let mut sim = Simulator::with_options(seed, options);
+        let ids: Vec<ComponentId> = (0..size)
+            .map(|i| {
+                sim.add_component(Box::new(Relay {
+                    next: ComponentId::from_index((i + 1) % size),
+                    hops_left: hops,
+                    seen: vec![],
+                    draws: vec![],
+                    productive,
+                }))
+            })
+            .collect();
+        for t in 0..tokens {
+            let at = ids[(t * size) / tokens];
+            sim.schedule(at, Time::at(0), Ev::Ping(0));
+        }
+        sim
+    }
+
+    fn traced() -> EngineOptions {
+        EngineOptions {
+            trace: Some((TraceSpec::default(), 4096)),
+            ..EngineOptions::default()
+        }
+    }
+
+    fn watchdog(window: Tick) -> EngineOptions {
+        EngineOptions {
+            watchdog: window,
+            ..EngineOptions::default()
+        }
+    }
+
+    /// Round-robin component → shard map.
+    fn striped(n: usize, shards: u32) -> Vec<u32> {
+        (0..n).map(|i| (i as u32) % shards).collect()
+    }
+
+    fn state_of(engine: &dyn Engine<Ev>) -> Vec<(Vec<u32>, Vec<u64>)> {
+        (0..engine.num_components())
+            .map(|i| {
+                let r = engine
+                    .component_as::<Relay>(ComponentId::from_index(i))
+                    .unwrap();
+                (r.seen.clone(), r.draws.clone())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sharded_matches_sequential_bit_for_bit() {
+        for shards in [1u32, 2, 3, 4] {
+            let mut seq = build_ring_with(9, 8, 3, 40, false, traced());
+            let seq_stats = seq.run();
+            assert_eq!(seq_stats.outcome, RunOutcome::Drained);
+
+            let sharded = build_ring_with(9, 8, 3, 40, false, traced());
+            let mut sharded = sharded.into_sharded(shards as usize, striped(8, shards));
+            let stats = sharded.run();
+            assert_eq!(stats.outcome, RunOutcome::Drained);
+
+            assert_eq!(stats.events_executed, seq_stats.events_executed);
+            assert_eq!(stats.total_enqueued, seq_stats.total_enqueued);
+            assert_eq!(Engine::now(&sharded), Engine::now(&seq), "end time");
+            assert_eq!(
+                state_of(&sharded),
+                state_of(&seq),
+                "component state diverged at {shards} shards"
+            );
+            assert_eq!(
+                Engine::trace_records(&sharded),
+                Engine::trace_records(&seq),
+                "trace diverged at {shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn cross_shard_ping_pong_drains() {
+        // Both components on different shards: every hop crosses.
+        let sim = build_ring(1, 2, 1, 10);
+        let mut sharded = sim.into_sharded(2, striped(2, 2));
+        // Each relay has a budget of 10 forwards: 20 hops + 1 injection.
+        let stats = sharded.run();
+        assert_eq!(stats.outcome, RunOutcome::Drained);
+        assert_eq!(stats.events_executed, 21);
+        assert_eq!(Engine::now(&sharded), Time::at(20));
+    }
+
+    #[test]
+    fn stop_halts_at_round_boundary_and_resumes() {
+        let mut sim = build_ring(3, 4, 1, 50);
+        sim.schedule(ComponentId::from_index(2), Time::at(5), Ev::Stop);
+        let mut sharded = sim.into_sharded(2, striped(4, 2));
+        let stats = sharded.run();
+        assert_eq!(stats.outcome, RunOutcome::Stopped);
+        let resumed = sharded.run();
+        assert_eq!(resumed.outcome, RunOutcome::Drained);
+        // 4 relays × 50 forwards + 1 injection + 1 stop event.
+        assert_eq!(stats.events_executed + resumed.events_executed, 202);
+    }
+
+    #[test]
+    fn failure_is_surfaced_with_message() {
+        let mut sim = build_ring(5, 4, 1, 50);
+        sim.schedule(ComponentId::from_index(1), Time::at(3), Ev::Fail);
+        let mut sharded = sim.into_sharded(4, striped(4, 4));
+        let stats = sharded.run();
+        assert_eq!(stats.outcome, RunOutcome::Failed("sharded failure".into()));
+    }
+
+    #[test]
+    fn unknown_target_fails() {
+        let mut sim = build_ring(7, 2, 0, 0);
+        sim.schedule(ComponentId::from_index(99), Time::at(0), Ev::Ping(0));
+        let mut sharded = sim.into_sharded(2, striped(2, 2));
+        let stats = sharded.run();
+        assert!(
+            matches!(&stats.outcome, RunOutcome::Failed(m) if m.contains("component#99")),
+            "got {:?}",
+            stats.outcome
+        );
+    }
+
+    #[test]
+    fn watchdog_trips_identically_across_shard_counts() {
+        // Nobody reports progress, so last_progress stays 0 and the
+        // watchdog must trip at the identical point on every backend.
+        let mut seq = build_ring_with(13, 6, 2, 60, false, watchdog(10));
+        let seq_stats = seq.run();
+        assert_eq!(
+            seq_stats.outcome,
+            RunOutcome::Watchdog { last_progress: 0 },
+            "sequential"
+        );
+        for shards in [1u32, 2, 4] {
+            let sim = build_ring_with(13, 6, 2, 60, false, watchdog(10));
+            let mut sharded = sim.into_sharded(shards as usize, striped(6, shards));
+            let stats = sharded.run();
+            assert_eq!(stats.outcome, seq_stats.outcome, "{shards} shards");
+            assert_eq!(
+                Engine::now(&sharded),
+                Engine::now(&seq),
+                "trip time at {shards} shards"
+            );
+            assert_eq!(
+                stats.events_executed, seq_stats.events_executed,
+                "events at {shards} shards"
+            );
+            // Pending events survive for diagnostics, not torn down.
+            assert!(Engine::total_enqueued(&sharded) > Engine::events_executed(&sharded));
+        }
+    }
+
+    #[test]
+    fn watchdog_spares_productive_runs() {
+        // Every hop reports progress, so even a tiny window never fires.
+        let sim = build_ring_with(13, 6, 2, 60, true, watchdog(2));
+        let mut sharded = sim.into_sharded(3, striped(6, 3));
+        let stats = sharded.run();
+        assert_eq!(stats.outcome, RunOutcome::Drained);
+    }
+
+    #[test]
+    fn tick_limit_pauses_and_resumes() {
+        let sim = build_ring(11, 4, 2, 30);
+        let mut sharded = sim.into_sharded(2, striped(4, 2));
+        let stats = sharded.run_until(10);
+        assert_eq!(stats.outcome, RunOutcome::TickLimit);
+        assert!(Engine::now(&sharded).tick() <= 10);
+        let stats = sharded.run();
+        assert_eq!(stats.outcome, RunOutcome::Drained);
+        let total: u64 = stats.events_executed;
+        assert!(total > 0);
+        let all: u64 = Engine::events_executed(&sharded);
+        assert_eq!(all, 122, "4 relays × 30 forwards + 2 injections");
+    }
+
+    #[test]
+    fn shard_metrics_account_every_event_once() {
+        let sim = build_ring(13, 6, 2, 20);
+        let mut sharded = sim.into_sharded(3, striped(6, 3));
+        let stats = sharded.run();
+        assert_eq!(stats.outcome, RunOutcome::Drained);
+        let per_shard = Engine::shard_metrics(&sharded);
+        assert_eq!(per_shard.len(), 3);
+        let total: u64 = per_shard.iter().map(|m| m.events_executed).sum();
+        assert_eq!(total, Engine::events_executed(&sharded));
+        assert_eq!(total, stats.events_executed);
+        for m in &per_shard {
+            assert_eq!(m.batch_counts.iter().sum::<u64>(), m.batches);
+            assert_eq!(m.queue_len, 0, "drained shard still has events");
+        }
     }
 }

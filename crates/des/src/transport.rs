@@ -14,9 +14,12 @@
 //!   and stop/failure flags; deliver the inboxes from every other shard
 //!   **in sender order**; report the globally agreed stop/failure state.
 //!
-//! Two backends implement this:
+//! Three backends implement this:
 //!
-//! * [`ThreadTransport`] — the original in-process backend: shards are
+//! * [`LocalTransport`] — one shard, no siblings: the fold is the local
+//!   head and the exchange only flushes trace records. Lock-free; this
+//!   is how a one-shard engine runs inline on the calling thread.
+//! * [`ThreadTransport`] — the in-process multi-shard backend: shards are
 //!   threads sharing spin barriers and mutex-guarded outboxes. Zero
 //!   copies beyond the event values themselves.
 //! * [`ProcessTransport`] — each shard is its own OS process (a
@@ -26,7 +29,7 @@
 //!   payloads, only the framing, the trace records it must merge, and
 //!   the end-of-run summary.
 //!
-//! Both backends preserve the determinism contract: the fold values and
+//! Every backend preserves the determinism contract: the fold values and
 //! the sender-ordered delivery are identical, so a run is byte-identical
 //! across backends and shard counts.
 
@@ -109,6 +112,10 @@ pub(crate) struct RoundOut<'a, E> {
 /// One synchronization backend for the generation-lockstep protocol. See
 /// the [module docs](self) for the contract.
 pub(crate) trait ShardTransport<E> {
+    /// Whether this transport serves one shard with no peers, so every
+    /// scheduled event belongs in the local queue.
+    const ALONE: bool = false;
+
     /// Publishes this shard's queue head and progress tick; returns the
     /// global fold. Blocks until every shard has contributed.
     fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError>;
@@ -121,6 +128,56 @@ pub(crate) trait ShardTransport<E> {
         out: RoundOut<'_, E>,
         deliver: &mut dyn FnMut(ComponentId, Time, Stamped<E>),
     ) -> Result<RoundEnd, TransportError>;
+}
+
+// ---------------------------------------------------------------------------
+// One-shard backend
+// ---------------------------------------------------------------------------
+
+/// The transport of a one-shard run. With no siblings there is nothing to
+/// wait for, fold, or ship: every scheduled event is already in the local
+/// queue, and the round's trace records are already canonical (the one
+/// shard executes the whole generation in stamp order).
+pub(crate) struct LocalTransport<'a> {
+    buffer: Option<&'a mut TraceBuffer>,
+}
+
+impl<'a> LocalTransport<'a> {
+    /// A transport flushing trace records into `buffer`, if tracing.
+    pub(crate) fn new(buffer: Option<&'a mut TraceBuffer>) -> Self {
+        LocalTransport { buffer }
+    }
+}
+
+impl<E> ShardTransport<E> for LocalTransport<'_> {
+    const ALONE: bool = true;
+
+    #[inline]
+    fn fold(&mut self, peek: Option<Time>, progress: Tick) -> Result<RoundFold, TransportError> {
+        Ok(RoundFold {
+            m: peek,
+            global_progress: progress,
+        })
+    }
+
+    #[inline]
+    fn exchange(
+        &mut self,
+        out: RoundOut<'_, E>,
+        _deliver: &mut dyn FnMut(ComponentId, Time, Stamped<E>),
+    ) -> Result<RoundEnd, TransportError> {
+        debug_assert!(
+            out.outboxes.iter().all(Vec::is_empty),
+            "one shard has no peers"
+        );
+        if let Some(buffer) = self.buffer.as_deref_mut() {
+            flush_trace(buffer, out.traces);
+        }
+        Ok(RoundEnd {
+            stopped: out.stop,
+            failure: out.failure.map(|(_, msg)| msg),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -291,8 +348,7 @@ impl<E> ShardTransport<E> for ThreadTransport<'_, E> {
     ) -> Result<RoundEnd, TransportError> {
         let sh = self.shared;
         let s = self.s;
-        // Smallest-stamp failure wins: the one the sequential engine
-        // would have hit first.
+        // Smallest-stamp failure wins: the first in canonical order.
         if let Some((stamp, msg)) = out.failure {
             let mut slot = sh.failure.lock().unwrap();
             if slot.as_ref().is_none_or(|(st, _)| stamp < *st) {

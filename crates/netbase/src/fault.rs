@@ -27,10 +27,10 @@
 //! own RNG stream (`Context::rng`), which is a pure function of
 //! `(seed, component index)`. Neither the engine backend nor the shard
 //! count can perturb a draw, so fault schedules — and therefore entire
-//! faulty runs — are bit-identical across `SequentialEngine` and
-//! `ShardedEngine` for one `(configuration, seed)`. Lost credits are *not*
-//! recovered; at high `fault.credit_loss_rate` a run starves into the
-//! watchdog on purpose.
+//! faulty runs — are bit-identical across the in-process engine at any
+//! shard count and worker fleets for one `(configuration, seed)`. Lost
+//! credits are *not* recovered; at high `fault.credit_loss_rate` a run
+//! starves into the watchdog on purpose.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -8,7 +8,12 @@
 //!    crate's unit tests, including the randomized flit/credit
 //!    conservation and hop-count properties over all nine architecture
 //!    variants and the fused-allocation equivalence model
-//! 4. the engine benchmark in smoke mode (`bench_engine --smoke`), which
+//! 4. `cargo test -q --locked --offline -p supersim-des` — the engine
+//!    crate's unit tests: calendar-queue order, sequential ≡ sharded
+//!    identity, watchdog trip identity across shard counts, checkpoint
+//!    round trips, and the randomized ordering and cross-backend halt
+//!    properties
+//! 5. the engine benchmark in smoke mode (`bench_engine --smoke`), which
 //!    asserts its own floors (every workload > 0 events/s, run stats
 //!    non-empty) so a scheduler regression fails the gate, not just a
 //!    correctness bug.
@@ -54,6 +59,10 @@ fn main() -> ExitCode {
                 "-p",
                 "supersim-router",
             ],
+        ),
+        (
+            "engine properties",
+            &["test", "-q", "--locked", "--offline", "-p", "supersim-des"],
         ),
         (
             "bench smoke",

@@ -11,7 +11,8 @@
 //! | 5    | checkpoint resume failure                            |
 //!
 //! Code 1 covers contradictory engine settings too: `--shards n` with
-//! `n > 1` on an engine that resolves to sequential.
+//! `n > 1` on an engine that resolves to sequential, and a worker timeout
+//! on an engine without worker processes.
 //!
 //! Every test spawns the real binary so the codes observed here are the
 //! codes the operating system reports, not an in-process approximation.
@@ -90,6 +91,61 @@ fn code_1_shards_without_the_sharded_engine() {
     // One shard stays legal, as does the environment default.
     assert_eq!(run_code(&[cfg, "--no-log", "--shards", "1"], &[]), 0);
     assert_eq!(run_code(&[cfg, "--no-log"], &[("SUPERSIM_SHARDS", "2")]), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn code_1_worker_timeout_without_worker_processes() {
+    // A timeout only worker processes can honor is a build error naming
+    // the timeout key and the transport, never silently ignored.
+    let dir = scratch_dir("timeout");
+    let cfg = write_cfg(&dir, &presets::quickstart());
+    let cfg = cfg.to_str().unwrap();
+    for engine in [&["--engine", "sequential"][..], &["--engine", "sharded"]] {
+        let output = Command::new(bin())
+            .arg(cfg)
+            .args(["--no-log", "--worker-timeout-ms", "500"])
+            .args(engine)
+            .output()
+            .expect("spawn supersim");
+        assert_eq!(output.status.code(), Some(1), "{engine:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("process.timeout_ms") && stderr.contains("engine.transport"),
+            "error must name both keys: {stderr}"
+        );
+    }
+    // The legacy key is held to the same rule.
+    let mut legacy = presets::quickstart();
+    legacy
+        .set_path("engine.worker_timeout_ms", Value::Int(500))
+        .expect("obj");
+    let legacy = write_cfg(&dir, &legacy);
+    let output = Command::new(bin())
+        .args([legacy.to_str().unwrap(), "--no-log"])
+        .output()
+        .expect("spawn supersim");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("engine.worker_timeout_ms") && stderr.contains("engine.transport"),
+        "error must name both keys: {stderr}"
+    );
+    // With worker processes the timeout applies.
+    assert_eq!(
+        run_code(
+            &[
+                cfg,
+                "--no-log",
+                "--workers",
+                "2",
+                "--worker-timeout-ms",
+                "60000"
+            ],
+            &[]
+        ),
+        0
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
